@@ -1,32 +1,19 @@
 #include "sycl/graph.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <utility>
 
 #include "analyze/recorder.hpp"
-#include "analyze/shadow.hpp"
-#include "fault/inject.hpp"
 #include "metrics/instruments.hpp"
-#include "resilience/cancel.hpp"
 #include "sycl/event.hpp"
 #include "sycl/thread_pool.hpp"
 
 namespace syclite::graph {
 
-namespace fault = altis::fault;
-
 namespace {
-
-[[nodiscard]] std::uint64_t wall_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 enum class node_state { held, pending, ready, running, settled };
 
@@ -49,8 +36,6 @@ struct node_rec {
     double start_ns = 0.0;
     double end_ns = 0.0;
     std::uint64_t ready_wall_ns = 0;
-    std::exception_ptr error;
-    bool cancelled = false;
 };
 
 /// Byte segment of the epoch's conflict map: last writer plus the readers
@@ -76,7 +61,7 @@ public:
     std::size_t unsettled = 0;
     std::vector<seg> segs;
     std::vector<std::uint64_t> ready;
-    std::vector<completion> failures;  ///< settled with error, undelivered
+    std::vector<detail::command_failure> failures;  ///< undelivered
     std::vector<double> lane_end;      ///< kernel display lanes (track >= 2)
     double transfer_end_ns = 0.0;      ///< modeled PCIe lane cursor
     double horizon = 0.0;
@@ -159,94 +144,53 @@ public:
         segs = std::move(next);
     }
 
-    /// Caller holds mu. Returns true when the node entered the ready list
-    /// (the caller decides whether to post a pool task).
-    bool make_ready(node_rec& n) {
+    /// Caller holds mu. Also lists the node in `to_post`; the caller posts
+    /// those as pool tasks once the lock is dropped.
+    void make_ready(node_rec& n, std::vector<std::uint64_t>& to_post) {
         n.state = node_state::ready;
-        n.ready_wall_ns = altis::metrics::collecting() ? wall_ns() : 0;
+        n.ready_wall_ns =
+            altis::metrics::collecting() ? detail::wall_ns() : 0;
         ready.push_back(n.id);
+        to_post.push_back(n.id);
         if (altis::metrics::collecting())
             altis::metrics::instruments::sched_ready_depth().record(
                 static_cast<double>(ready.size()));
-        return true;
     }
 };
 
 namespace {
 
 void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
-            std::exception_ptr error, bool cancelled);
+            std::optional<detail::command_failure> f);
 
-/// Runs one claimed node (state already `running`, exec moved out).
-void execute_body(const std::shared_ptr<scheduler_state>& st,
-                  std::uint64_t id,
-                  detail::small_function<void(thread_pool&)> exec,
-                  const std::string& name, bool transfer, std::uint64_t cg,
-                  int actor, altis::analyze::recorder* rec,
-                  thread_pool* pool) {
-    std::exception_ptr error;
-    bool cancelled = false;
-    try {
-        // Dispatch-time checkpoint: a deadline that expired while this node
-        // sat in the queue cancels it before a single byte moves.
-        altis::resilience::checkpoint();
-        fault::maybe_inject(transfer ? fault::op_kind::transfer
-                                     : fault::op_kind::launch,
-                            name,
-                            transfer ? "transfer failed"
-                                     : "kernel launch failed");
-        const bool metered = altis::metrics::collecting();
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().add(1);
-        {
-            altis::analyze::shadow::actor_scope scope(actor);
-            exec(*pool);
-        }
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().sub(1);
-    } catch (const altis::resilience::cancelled_error&) {
-        error = std::current_exception();
-        cancelled = true;
-        if (altis::metrics::collecting())
-            altis::metrics::instruments::sched_cancelled_nodes().add();
-    } catch (...) {
-        error = std::current_exception();
-    }
-    if (rec != nullptr && cg != 0) rec->retire(cg);
-    settle(st, id, std::move(error), cancelled);
-}
-
-/// Claims `id` if still ready and runs it. Posted to the pool; also the
-/// join-side work-stealing path. Stale calls (node already claimed, epoch
-/// reset) are no-ops.
+/// Claims `id` if still ready and runs it through the command core. Posted
+/// to the pool; also the join-side work-stealing path. Stale calls (node
+/// already claimed, epoch reset) are no-ops.
 void run_one(const std::shared_ptr<scheduler_state>& st, std::uint64_t id) {
+    node_rec* n = nullptr;
     detail::small_function<void(thread_pool&)> exec;
-    std::string name;
-    bool transfer = false;
-    std::uint64_t cg = 0;
-    int actor = -1;
-    altis::analyze::recorder* rec = nullptr;
     thread_pool* pool = nullptr;
     {
         std::lock_guard lock(st->mu);
-        node_rec* n = st->find(id);
+        n = st->find(id);
         if (n == nullptr || n->state != node_state::ready) return;
         n->state = node_state::running;
         st->ready.erase(
             std::find(st->ready.begin(), st->ready.end(), id));
         if (n->ready_wall_ns != 0 && altis::metrics::collecting())
             altis::metrics::instruments::sched_dispatch_latency_ns().record(
-                static_cast<double>(wall_ns() - n->ready_wall_ns));
+                static_cast<double>(detail::wall_ns() - n->ready_wall_ns));
         exec = std::move(n->exec);
-        name = n->name;
-        transfer = n->transfer;
-        cg = n->cg;
-        actor = n->actor;
-        rec = n->recorder;
         pool = st->pool;
     }
-    execute_body(st, id, std::move(exec), name, transfer, cg, actor, rec,
-                 pool);
+    // Read without the lock: nothing writes a running node's command fields,
+    // and the epoch cannot reset under an unsettled node (deque growth keeps
+    // element references valid).
+    std::optional<detail::command_failure> f = detail::run_command(
+        n->name, n->transfer, exec, *pool, n->actor, n->recorder, n->cg);
+    if (f && f->cancelled && altis::metrics::collecting())
+        altis::metrics::instruments::sched_cancelled_nodes().add();
+    settle(st, id, std::move(f));
 }
 
 void post_dispatch(const std::shared_ptr<scheduler_state>& st,
@@ -263,18 +207,17 @@ void post_dispatch(const std::shared_ptr<scheduler_state>& st,
 }
 
 void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
-            std::exception_ptr error, bool cancelled) {
+            std::optional<detail::command_failure> f) {
     std::vector<std::uint64_t> newly_ready;
     {
         std::lock_guard lock(st->mu);
         node_rec* n = st->find(id);
         if (n == nullptr) return;
         n->state = node_state::settled;
-        n->error = error;
-        n->cancelled = cancelled;
-        n->exec = {};
-        if (error != nullptr)
-            st->failures.push_back({n->index, n->name, error, cancelled});
+        if (f) {
+            f->index = n->index;
+            st->failures.push_back(std::move(*f));
+        }
         --st->unsettled;
         // Dependents run regardless of this node's outcome (in-order queues
         // likewise keep executing after a failed submission); a cancelled
@@ -292,8 +235,7 @@ void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
             if (m == nullptr || (m->state != node_state::pending &&
                                  m->state != node_state::held))
                 continue;
-            if (--m->unmet == 0 && st->make_ready(*m))
-                newly_ready.push_back(d);
+            if (--m->unmet == 0) st->make_ready(*m, newly_ready);
         }
     }
     st->cv.notify_all();
@@ -326,7 +268,6 @@ scheduler::~scheduler() {
 }
 
 ticket scheduler::enqueue(submission s) {
-    std::vector<std::uint64_t> newly_ready;  // unused: node starts held
     ticket t;
     std::lock_guard lock(state_->mu);
     scheduler_state& st = *state_;
@@ -403,7 +344,6 @@ ticket scheduler::enqueue(submission s) {
         mi::sched_nodes().add();
         mi::sched_edges().add(deps.size());
     }
-    (void)newly_ready;
     return t;
 }
 
@@ -415,8 +355,7 @@ void scheduler::release(std::uint64_t id, int actor) {
         if (n == nullptr || n->state != node_state::held) return;
         if (actor >= 0) n->actor = actor;
         n->state = node_state::pending;
-        if (--n->unmet == 0 && state_->make_ready(*n))
-            newly_ready.push_back(id);
+        if (--n->unmet == 0) state_->make_ready(*n, newly_ready);
     }
     state_->cv.notify_all();
     post_dispatch(state_, newly_ready);
@@ -452,14 +391,10 @@ std::vector<std::pair<double, double>> scheduler::kernel_spans() const {
     return state_->kernel_spans;
 }
 
-std::vector<completion> scheduler::drain_errors() {
+std::vector<detail::command_failure> scheduler::drain_errors() {
     std::lock_guard lock(state_->mu);
-    std::vector<completion> out = std::move(state_->failures);
+    std::vector<detail::command_failure> out = std::move(state_->failures);
     state_->failures.clear();
-    std::sort(out.begin(), out.end(),
-              [](const completion& a, const completion& b) {
-                  return a.index < b.index;
-              });
     return out;
 }
 

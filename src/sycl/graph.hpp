@@ -18,30 +18,21 @@
 // bookkeeping (recorder, trace, events log) and then release()s the node for
 // dispatch. Nothing can run before its shadow-clock edges exist.
 //
-// fault/resilience integration: every node passes a resilience checkpoint
-// and the fault injection point (launch/transfer) at *dispatch*, so a
-// deadline cancels queued-but-unstarted nodes and injected faults surface as
-// an async exception_list at the next graph join.
+// fault/resilience integration: every node runs through
+// detail::run_command (sycl/command.hpp) at *dispatch*, so a deadline
+// cancels queued-but-unstarted nodes and injected faults surface as an async
+// exception_list at the next graph join.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sycl/small_function.hpp"
+#include "sycl/command.hpp"
 
-namespace altis::analyze {
-class recorder;
-}  // namespace altis::analyze
-
-namespace syclite {
-
-class thread_pool;
-
-namespace graph {
+namespace syclite::graph {
 
 class scheduler_state;
 
@@ -86,14 +77,6 @@ struct ticket {
     std::vector<int> dep_actors;      ///< shadow actors of those deps
 };
 
-/// One settled node, in submission order.
-struct completion {
-    std::uint64_t index = 0;
-    std::string name;
-    std::exception_ptr error;  ///< null when the node ran clean
-    bool cancelled = false;    ///< cooperative cancellation, not a fault
-};
-
 class scheduler {
 public:
     /// `pool` receives ready-node dispatch tasks; it must outlive the
@@ -128,9 +111,9 @@ public:
     /// union fold: (start, end) pairs of kernel (non-transfer) nodes.
     [[nodiscard]] std::vector<std::pair<double, double>> kernel_spans() const;
 
-    /// Settled nodes that failed or were cancelled, in submission order;
+    /// Settled nodes that failed or were cancelled, in settle order;
     /// removes them from the log (each error is delivered once).
-    [[nodiscard]] std::vector<completion> drain_errors();
+    [[nodiscard]] std::vector<detail::command_failure> drain_errors();
 
     /// Forgets the epoch (nodes, segment map, lanes). Requires every node
     /// settled -- call after wait_all(). Ids keep growing monotonically, so
@@ -154,5 +137,4 @@ private:
 /// captured it. Safe from any thread.
 void wait_node(const std::shared_ptr<scheduler_state>& st, std::uint64_t id);
 
-}  // namespace graph
-}  // namespace syclite
+}  // namespace syclite::graph

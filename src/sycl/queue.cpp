@@ -1,11 +1,9 @@
 #include "sycl/queue.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
-
-#include <chrono>
-#include <cstdint>
 
 #include "analyze/pipes.hpp"
 #include "analyze/sanitize.hpp"
@@ -14,7 +12,6 @@
 #include "perf/model.hpp"
 #include "perf/resource_model.hpp"
 #include "resilience/cancel.hpp"
-#include "sycl/pipe.hpp"
 
 namespace syclite {
 
@@ -22,40 +19,25 @@ namespace fault = altis::fault;
 
 namespace {
 
-/// Wall-clock nanoseconds for telemetry; distinct from the simulated
-/// timeline (sim_now_ns_), which must stay byte-identical with metrics off
-/// or on.
-[[nodiscard]] std::uint64_t wall_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/// RAII inc/dec of the in-flight kernel gauge; captures the metering
-/// decision once so the pair always balances even if a session starts or
-/// stops mid-kernel.
-struct inflight_guard {
+/// Submission latency: wall-clock host time spent inside submit() --
+/// bookkeeping plus, on in-order queues, the kernel execution itself,
+/// mirroring what a profiler sees on q.submit() in the paper's in-order
+/// queues. Scoped, so throwing submissions are metered too.
+struct latency_guard {
     bool metered = altis::metrics::collecting();
-    inflight_guard() {
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().add(1);
-    }
-    ~inflight_guard() {
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().sub(1);
+    std::uint64_t t0 = metered ? detail::wall_ns() : 0;
+    ~latency_guard() {
+        if (!metered) return;
+        namespace mi = altis::metrics::instruments;
+        mi::queue_submissions().add();
+        mi::queue_submit_latency_ns().record(detail::wall_ns() - t0);
     }
 };
 
-/// Retires a command group's accessor-lifetime token on every exit path of
-/// the owning scope (success, injected fault, app exception).
-struct retire_guard {
-    analyze::recorder* rec;
-    std::uint64_t cg;
-    ~retire_guard() {
-        if (rec != nullptr && cg != 0) rec->retire(cg);
-    }
-};
+/// Failed-span label of one failed command: "error[<kernel>]: <what>".
+[[nodiscard]] std::string error_label(const detail::command_failure& f) {
+    return "error[" + f.name + "]" + (f.detail.empty() ? "" : ": " + f.detail);
+}
 
 /// Releases an enqueued (held) graph node on every exit path of the
 /// submit-side bookkeeping, so an exception there cannot leave the node held
@@ -102,10 +84,7 @@ queue::queue(const std::string& device_name, perf::runtime_kind rt,
 
 queue::~queue() {
     // Abandoning a dataflow group would leak blocked threads; join them.
-    for (auto& t : pending_threads_)
-        if (t.joinable()) t.join();
-    for (const pending_work& w : pending_work_)
-        if (recorder_ != nullptr && w.cg != 0) recorder_->retire(w.cg);
+    abort_dataflow();
     if (sched_ != nullptr) {
         // Implicit join; destructors cannot deliver, so errors are dropped
         // (same contract as an in-order queue destroyed with async errors
@@ -158,51 +137,49 @@ event queue::record(const perf::kernel_stats& stats, double duration_ns,
     return events_.back();
 }
 
-event queue::finish_submit(handler&& h) {
-    // Submission latency is wall-clock host time spent inside submit() --
-    // bookkeeping plus (outside dataflow groups) the kernel execution
-    // itself, mirroring what a profiler sees on q.submit() in the paper's
-    // in-order queues.
-    const bool metered = altis::metrics::collecting();
-    const std::uint64_t submit_t0 = metered ? wall_ns() : 0;
-    struct latency_guard {
-        bool metered;
-        std::uint64_t t0;
-        ~latency_guard() {
-            if (!metered) return;
-            namespace mi = altis::metrics::instruments;
-            mi::queue_submissions().add();
-            mi::queue_submit_latency_ns().record(wall_ns() - t0);
-        }
-    } submit_latency{metered, submit_t0};
+double queue::kernel_duration(const perf::kernel_stats& stats,
+                              double fmax_mhz) const {
+    if (fmax_mhz <= 0.0) fmax_mhz = design_fmax_mhz_;
+    return dev_.is_fpga() && fmax_mhz > 0.0
+               ? perf::fpga_kernel_time_ns(stats, dev_, fmax_mhz)
+               : perf::kernel_time_ns(stats, dev_);
+}
 
+analyze::node queue::kernel_node(handler& h) const {
+    analyze::node n;
+    n.kind = analyze::node_kind::kernel;
+    n.cg = h.cg_.id;
+    n.kernel = h.stats().name;
+    n.queue = queue_id_;
+    n.group = in_dataflow_ ? current_group_ : -1;
+    n.accesses = std::move(h.accesses_);
+    n.pipes = std::move(h.pipes_);
+    n.stats = h.stats();
+    n.device = &dev_;
+    return n;
+}
+
+event queue::finish_submit(handler&& h) {
+    const latency_guard submit_latency;
+    // Dataflow groups defer/overlap their own way, even on OOO queues.
+    const bool graph_node = sched_ != nullptr && !in_dataflow_;
     // In-order queues run synchronously, so a depends_on edge on a
     // same-queue event is vacuous -- but an event from an out-of-order
     // queue's graph (the only kind that carries a command id) still needs a
     // real join before this command may run.
-    for (const handler::graph_dep& d : h.deps_) graph::wait_node(d.state, d.id);
+    if (!graph_node)
+        for (const handler::graph_dep& d : h.deps_)
+            graph::wait_node(d.state, d.id);
 
     if (!h.has_kernel()) {
         // An empty command group still handed out accessors; their lifetime
         // ends here.
-        retire_guard retire{recorder_, h.cg_.id};
+        if (recorder_ != nullptr && h.cg_.id != 0) recorder_->retire(h.cg_.id);
         return event(sim_now_ns_, sim_now_ns_, sim_now_ns_);
     }
+    if (graph_node) return finish_submit_graph(h);
 
-    if (recorder_ != nullptr) {
-        analyze::node n;
-        n.kind = analyze::node_kind::kernel;
-        n.cg = h.cg_.id;
-        n.kernel = h.stats().name;
-        n.queue = queue_id_;
-        n.group = in_dataflow_ ? current_group_ : -1;
-        n.accesses = std::move(h.accesses_);
-        n.pipes = std::move(h.pipes_);
-        n.stats = h.stats();
-        n.device = &dev_;
-        recorder_->add_node(std::move(n));
-    }
-
+    if (recorder_ != nullptr) recorder_->add_node(kernel_node(h));
     if (in_dataflow_) {
         // Deferred: the worker thread starts at end_dataflow(), once the
         // whole group is known (see pending_work in the header).
@@ -213,60 +190,21 @@ event queue::finish_submit(handler&& h) {
         return event();  // timestamps assigned at end_dataflow()
     }
 
-    retire_guard retire{recorder_, h.cg_.id};
-    try {
-        altis::resilience::checkpoint();
-        fault::maybe_inject(fault::op_kind::launch, h.stats().name,
-                            "kernel launch failed");
-        inflight_guard inflight;
-        // Attribute the kernel's observed accesses to its shadow actor
-        // (no-op when no sanitize session assigned one).
-        altis::analyze::shadow::actor_scope actor(h.cg_.actor);
-        h.exec_(thread_pool::global());
-    } catch (const std::exception& e) {
-        // Copy the kernel name into the span label *before* anything can
-        // donate h.stats_.name: the error span must keep naming the kernel
-        // even after the handler is torn down.
-        record_error_span("error[" + h.stats().name + "]: " + e.what());
-        if (handler_) {
-            // SYCL semantics: execution errors are asynchronous -- they
-            // surface at the next wait()/throw_asynchronous(), not here.
-            async_errors_.push_back(std::current_exception());
-            return event(sim_now_ns_, sim_now_ns_, sim_now_ns_,
-                         h.stats().name);
-        }
-        throw;
+    if (std::optional<detail::command_failure> f = detail::run_command(
+            h.stats().name, /*transfer=*/false, h.exec_, thread_pool::global(),
+            h.cg_.actor, recorder_, h.cg_.id)) {
+        record_error_span(error_label(*f));
+        // SYCL semantics: execution errors are asynchronous -- they surface
+        // at the next wait()/throw_asynchronous(), not here.
+        if (!handler_) std::rethrow_exception(f->error);
+        async_errors_.push_back(std::move(f->error));
+        return event(sim_now_ns_, sim_now_ns_, sim_now_ns_, h.stats().name);
     }
-    const double duration =
-        (dev_.is_fpga() && design_fmax_mhz_ > 0.0)
-            ? perf::fpga_kernel_time_ns(h.stats(), dev_, design_fmax_mhz_)
-            : perf::kernel_time_ns(h.stats(), dev_);
-    return record(h.stats(), duration, &h.stats_.name);
+    return record(h.stats(), kernel_duration(h.stats()), &h.stats_.name);
 }
 
-event queue::finish_submit_graph(handler&& h) {
-    const bool metered = altis::metrics::collecting();
-    const std::uint64_t submit_t0 = metered ? wall_ns() : 0;
-    struct latency_guard {
-        bool metered;
-        std::uint64_t t0;
-        ~latency_guard() {
-            if (!metered) return;
-            namespace mi = altis::metrics::instruments;
-            mi::queue_submissions().add();
-            mi::queue_submit_latency_ns().record(wall_ns() - t0);
-        }
-    } submit_latency{metered, submit_t0};
-
-    if (!h.has_kernel()) {
-        retire_guard retire{recorder_, h.cg_.id};
-        return event(sim_now_ns_, sim_now_ns_, sim_now_ns_);
-    }
-
-    const double duration =
-        (dev_.is_fpga() && design_fmax_mhz_ > 0.0)
-            ? perf::fpga_kernel_time_ns(h.stats(), dev_, design_fmax_mhz_)
-            : perf::kernel_time_ns(h.stats(), dev_);
+event queue::finish_submit_graph(handler& h) {
+    const double duration = kernel_duration(h.stats());
     // The host side of an async launch: submission overhead lands on the
     // host clock now; the kernel's own time lives on a graph lane and folds
     // in at the join.
@@ -308,18 +246,8 @@ event queue::finish_submit_graph(handler&& h) {
     // node must still be released, or it stays `held` forever and every
     // later join -- including ~queue during unwind -- deadlocks.
     release_guard release{sched_.get(), t.id};
-    if (recorder_ != nullptr) {
-        analyze::node n;
-        n.kind = analyze::node_kind::kernel;
-        n.cg = h.cg_.id;
-        n.kernel = h.stats().name;
-        n.queue = queue_id_;
-        n.accesses = std::move(h.accesses_);
-        n.pipes = std::move(h.pipes_);
-        n.stats = h.stats();
-        n.device = &dev_;
-        recorder_->add_node_graph(std::move(n), t.dep_actors);
-    }
+    if (recorder_ != nullptr)
+        recorder_->add_node_graph(kernel_node(h), t.dep_actors);
     if (trace_ != nullptr) {
         const double b = trace_base_ns_;
         trace_->record({trace::span_kind::overhead, "launch", b + submit,
@@ -354,14 +282,12 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
     const graph::ticket t = sched_->enqueue(std::move(s));
 
     release_guard release{sched_.get(), t.id};
-    int actor = -1;
     if (recorder_ != nullptr)
-        actor = recorder_->record_transfer_graph(
+        release.actor = recorder_->record_transfer_graph(
             queue_id_,
             to_device ? analyze::node_kind::transfer_in
                       : analyze::node_kind::transfer_out,
             to_device ? dst_ptr : src_ptr, bytes, t.dep_actors);
-    release.actor = actor;
     if (trace_ != nullptr) {
         trace::span sp{trace::span_kind::transfer, "transfer",
                        trace_base_ns_ + t.start_ns,
@@ -377,27 +303,47 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
     return events_.back();
 }
 
+void queue::merge_failures(std::vector<detail::command_failure>& failed,
+                           const char* cancel_label) {
+    // Delivery order is submission order, independent of which thread lost
+    // the race to report first.
+    std::sort(failed.begin(), failed.end(),
+              [](const auto& a, const auto& b) { return a.index < b.index; });
+    for (const detail::command_failure& f : failed)
+        if (f.cancelled) {
+            // Never routed through an async handler: a cancelled sweep must
+            // unwind.
+            record_error_span(cancel_label);
+            std::rethrow_exception(f.error);
+        }
+    const auto blocked_end =
+        std::stable_partition(failed.begin(), failed.end(),
+                              [](const auto& f) { return f.pipe_blocked; });
+    if (blocked_end == failed.begin()) return;
+    std::vector<std::string> blocked;
+    std::string msg = "dataflow deadlock: kernel(s) blocked on pipes:";
+    std::string why;
+    for (auto it = failed.begin(); it != blocked_end; ++it) {
+        blocked.push_back(it->name);
+        msg += " " + it->name;
+        why += (why.empty() ? "" : "; ") + it->name + ": " + it->detail;
+    }
+    msg += " [" + why + "]";
+    failed.erase(failed.begin() + 1, blocked_end);
+    detail::command_failure& merged = failed.front();  // still pipe_blocked
+    merged.name = "dataflow";
+    merged.error =
+        std::make_exception_ptr(dataflow_error(msg, std::move(blocked)));
+    merged.detail = std::move(msg);
+}
+
 void queue::collect_graph_errors() {
     if (sched_ == nullptr) return;
-    std::vector<graph::completion> failed = sched_->drain_errors();
-    // Cancellation outranks node errors, exactly as in dataflow groups: the
-    // supervisor pulled the plug, so it unwinds directly and the collateral
-    // failures are dropped with the sweep.
-    for (const graph::completion& c : failed)
-        if (c.cancelled) {
-            record_error_span("graph cancelled");
-            std::rethrow_exception(c.error);
-        }
-    for (graph::completion& c : failed) {
-        std::string label = "error[" + c.name + "]";
-        try {
-            std::rethrow_exception(c.error);
-        } catch (const std::exception& e) {
-            label += std::string(": ") + e.what();
-        } catch (...) {
-        }
-        record_error_span(label);
-        async_errors_.push_back(std::move(c.error));
+    std::vector<detail::command_failure> failed = sched_->drain_errors();
+    merge_failures(failed, "graph cancelled");
+    for (detail::command_failure& f : failed) {
+        record_error_span(error_label(f));
+        async_errors_.push_back(std::move(f.error));
     }
 }
 
@@ -495,7 +441,7 @@ void queue::abort_dataflow() noexcept {
         if (recorder_ != nullptr && w.cg != 0) recorder_->retire(w.cg);
     pending_work_.clear();
     pending_stats_.clear();
-    worker_errors_.clear();
+    dataflow_failures_.clear();
     in_dataflow_ = false;
     current_group_ = -1;
 }
@@ -503,41 +449,15 @@ void queue::abort_dataflow() noexcept {
 void queue::launch_dataflow_workers() {
     pending_threads_.reserve(pending_work_.size());
     for (pending_work& w : pending_work_) {
-        pending_threads_.emplace_back(
-            [this, index = w.index, cg = w.cg, name = std::move(w.kernel),
-             exec = std::move(w.exec), actor = w.actor]() mutable {
-                altis::analyze::shadow::actor_scope actor_binding(actor);
-                retire_guard retire{recorder_, cg};
-                worker_error we;
-                we.index = index;
-                we.kernel = name;
-                try {
-                    altis::resilience::checkpoint();
-                    fault::maybe_inject(fault::op_kind::launch, name,
-                                        "kernel launch failed");
-                    inflight_guard inflight;
-                    exec(thread_pool::global());
-                    return;
-                } catch (const pipe_deadlock& pd) {
-                    // Watchdog: a pipe timeout means this kernel was wedged
-                    // waiting for its peer; end_dataflow() merges these into
-                    // one structured dataflow_error.
-                    we.error = std::current_exception();
-                    we.pipe_blocked = true;
-                    we.detail = pd.what();
-                } catch (const altis::resilience::cancelled_error&) {
-                    // Cancellation reached a worker mid-kernel (deadline
-                    // supervisor or signal). Flagged so end_dataflow()
-                    // rethrows it as the group's root cause instead of
-                    // folding it into a dataflow_error.
-                    we.error = std::current_exception();
-                    we.cancelled = true;
-                } catch (...) {
-                    we.error = std::current_exception();
-                }
-                std::lock_guard lock(worker_errors_mutex_);
-                worker_errors_.push_back(std::move(we));
-            });
+        pending_threads_.emplace_back([this, w = std::move(w)]() mutable {
+            std::optional<detail::command_failure> f = detail::run_command(
+                w.kernel, /*transfer=*/false, w.exec, thread_pool::global(),
+                w.actor, recorder_, w.cg);
+            if (!f) return;
+            f->index = w.index;
+            std::lock_guard lock(dataflow_failures_mutex_);
+            dataflow_failures_.push_back(std::move(*f));
+        });
     }
     pending_work_.clear();
 }
@@ -573,11 +493,7 @@ std::vector<event> queue::end_dataflow() {
             std::string msg = "sanitize: refusing to launch dataflow group:";
             for (const analyze::finding& f : findings.findings())
                 msg += " [" + f.rule + "] " + f.message + ";";
-            for (const pending_work& w : pending_work_)
-                if (w.cg != 0) recorder_->retire(w.cg);
-            pending_work_.clear();
-            pending_stats_.clear();
-            current_group_ = -1;
+            abort_dataflow();  // nothing launched yet: drop the group
             record_error_span("sanitize: pipe topology");
             throw analyze::sanitize_error(msg);
         }
@@ -592,43 +508,15 @@ std::vector<event> queue::end_dataflow() {
     // happens-before edges (members -> queue -> host) in the shadow store.
     if (recorder_ != nullptr && joined_group >= 0)
         recorder_->end_group(joined_group, queue_id_);
-    if (!worker_errors_.empty()) {
-        std::vector<worker_error> errors = std::move(worker_errors_);
-        worker_errors_.clear();
+    if (!dataflow_failures_.empty()) {
+        std::vector<detail::command_failure> failed =
+            std::move(dataflow_failures_);
+        dataflow_failures_.clear();
         pending_stats_.clear();
-        // Delivery order is submission order, independent of which worker
-        // thread lost the race to report first.
-        std::sort(errors.begin(), errors.end(),
-                  [](const worker_error& a, const worker_error& b) {
-                      return a.index < b.index;
-                  });
-        // Cancellation outranks every other failure in the group: the
-        // supervisor pulled the plug, so peers that then saw a dead pipe are
-        // collateral. Rethrow directly -- never routed through an async
-        // handler, a cancelled sweep must unwind.
-        for (const auto& we : errors)
-            if (we.cancelled) {
-                record_error_span("dataflow cancelled");
-                std::rethrow_exception(we.error);
-            }
-        std::vector<std::string> blocked;
-        std::string detail;
-        for (const auto& we : errors) {
-            if (!we.pipe_blocked) continue;
-            blocked.push_back(we.kernel);
-            if (!detail.empty()) detail += "; ";
-            detail += we.kernel + ": " + we.detail;
-        }
+        merge_failures(failed, "dataflow cancelled");
         exception_list list;
-        if (!blocked.empty()) {
-            std::string msg = "dataflow deadlock: kernel(s) blocked on pipes:";
-            for (const auto& k : blocked) msg += " " + k;
-            msg += " [" + detail + "]";
-            list.push_back(std::make_exception_ptr(
-                dataflow_error(msg, std::move(blocked))));
-        }
-        for (auto& we : errors)
-            if (!we.pipe_blocked) list.push_back(std::move(we.error));
+        for (detail::command_failure& f : failed)
+            list.push_back(std::move(f.error));
         record_error_span("dataflow error");
         deliver(std::move(list));
         return {};  // handler consumed the errors; the group produced no work
@@ -636,20 +524,15 @@ std::vector<event> queue::end_dataflow() {
 
     // Simulated overlap: every kernel of the group launches together; the
     // group completes with its slowest member. On FPGA all kernels share one
-    // bitstream, so each is clocked at the design Fmax.
+    // bitstream, so without a pinned design each is clocked at the group's.
+    const double group_fmax =
+        dev_.is_fpga() && design_fmax_mhz_ <= 0.0
+            ? perf::estimate_design_resources(pending_stats_, dev_).fmax_mhz
+            : 0.0;
     std::vector<double> durations;
     durations.reserve(pending_stats_.size());
-    if (dev_.is_fpga()) {
-        const double fmax =
-            design_fmax_mhz_ > 0.0
-                ? design_fmax_mhz_
-                : perf::estimate_design_resources(pending_stats_, dev_).fmax_mhz;
-        for (const auto& s : pending_stats_)
-            durations.push_back(perf::fpga_kernel_time_ns(s, dev_, fmax));
-    } else {
-        for (const auto& s : pending_stats_)
-            durations.push_back(perf::kernel_time_ns(s, dev_));
-    }
+    for (const auto& s : pending_stats_)
+        durations.push_back(kernel_duration(s, group_fmax));
 
     const double launch = perf::launch_overhead_ns(rt_, dev_);
     const double submit = sim_now_ns_;

@@ -9,6 +9,15 @@
 // concurrent threads -- required for pipe communication -- and overlap them
 // on the simulated timeline (paper Fig. 3).
 //
+// One command core (sycl/command.hpp): every submission passes one prologue
+// (submit-latency metering, the empty-command-group early-out) and then gets
+// one of three dispositions -- run now (in-order), defer to the gang launch
+// at end_dataflow() (dataflow group), or enqueue as a graph node
+// (out-of-order). Whichever thread finally executes the command calls
+// detail::run_command, so all three engines share one checkpoint / fault
+// point / in-flight gauge / shadow actor / retire sequence, and the two
+// deferred joins share one failure merge (merge_failures).
+//
 // Error model (SYCL-conformant, see sycl/error.hpp): a queue may carry an
 // async_handler. Errors raised by kernel execution -- including injected
 // faults from an active altis::fault plan -- are then collected and
@@ -90,10 +99,7 @@ public:
         handler h;
         h.begin_capture(recorder_, /*track_ranges=*/sched_ != nullptr);
         cgf(h);
-        // Dataflow groups defer/overlap their own way, even on OOO queues.
-        return sched_ != nullptr && !in_dataflow_
-                   ? finish_submit_graph(std::move(h))
-                   : finish_submit(std::move(h));
+        return finish_submit(std::move(h));
     }
 
     /// Host synchronization (cudaDeviceSynchronize / queue::wait analogue);
@@ -129,52 +135,11 @@ public:
     /// charge from annotate_transfer is identical either way.
     template <typename T>
     event copy_to_device(buffer<T>& dst, const T* src) {
-        if constexpr (std::is_trivially_copyable_v<T>) {
-            if (sched_ != nullptr)
-                // Asynchronous on the graph: a node writing the buffer's
-                // range, ordered after conflicting in-flight commands by the
-                // implied-edge machinery; the returned event joins it.
-                return submit_transfer_graph(/*to_device=*/true,
-                                             dst.host_data(), src,
-                                             dst.byte_size());
-        } else {
-            if (sched_ != nullptr) join_graph();
-        }
-        annotate_transfer(static_cast<double>(dst.byte_size()));
-        if (recorder_ != nullptr)
-            record_transfer_node(/*to_device=*/true, dst.host_data(),
-                                 dst.byte_size());
-        if constexpr (std::is_trivially_copyable_v<T>)
-            altis::mem::copy_bytes(dst.host_data(), src, dst.byte_size());
-        else
-            std::copy(src, src + dst.size(), dst.host_data());
-        return events_.back();
+        return transfer(/*to_device=*/true, dst.host_data(), src, dst.size());
     }
     template <typename T>
     event copy_from_device(const buffer<T>& src, T* dst) {
-        if constexpr (std::is_trivially_copyable_v<T>) {
-            if (sched_ != nullptr) {
-                // Write-back is a targeted graph join: the copy node depends
-                // (through implied edges) on every producer of the buffer's
-                // range, and waiting on it drains exactly that chain.
-                event e = submit_transfer_graph(/*to_device=*/false, dst,
-                                                src.host_data(),
-                                                src.byte_size());
-                e.wait();
-                return e;
-            }
-        } else {
-            if (sched_ != nullptr) join_graph();
-        }
-        annotate_transfer(static_cast<double>(src.byte_size()));
-        if (recorder_ != nullptr)
-            record_transfer_node(/*to_device=*/false, src.host_data(),
-                                 src.byte_size());
-        if constexpr (std::is_trivially_copyable_v<T>)
-            altis::mem::copy_bytes(dst, src.host_data(), src.byte_size());
-        else
-            std::copy(src.host_data(), src.host_data() + src.size(), dst);
-        return events_.back();
+        return transfer(/*to_device=*/false, dst, src.host_data(), src.size());
     }
     /// Timing-only transfer annotation (no functional copy); also the
     /// injection point for `transfer` faults.
@@ -222,16 +187,6 @@ public:
     [[nodiscard]] analyze::recorder* recorder() const { return recorder_; }
 
 private:
-    /// One failed dataflow worker, keyed by submission order.
-    struct worker_error {
-        std::size_t index = 0;
-        std::string kernel;
-        std::exception_ptr error;
-        bool pipe_blocked = false;  ///< failure was a pipe deadlock-timeout
-        bool cancelled = false;     ///< cooperative cancellation, not a fault
-        std::string detail;         ///< deadlock message (pipe, occupancy)
-    };
-
     /// One dataflow kernel accepted but not yet started: under a dataflow
     /// group, submissions are deferred and launched together at
     /// end_dataflow(), which lets the sanitizer lint the group's complete
@@ -244,12 +199,49 @@ private:
         int actor = -1;  ///< shadow actor bound around execution (-1: none)
     };
 
+    /// The body of both copy directions; the device side is the buffer.
+    template <typename T>
+    event transfer(bool to_device, T* dst, const T* src, std::size_t n) {
+        const std::size_t bytes = n * sizeof(T);
+        if constexpr (std::is_trivially_copyable_v<T>) {
+            if (sched_ != nullptr) {
+                // Asynchronous on the graph: a node ordered after conflicting
+                // in-flight commands by the implied-edge machinery. Write-back
+                // is a targeted join: waiting on the copy node drains exactly
+                // the chain of producers of the buffer's range.
+                event e = submit_transfer_graph(to_device, dst, src, bytes);
+                if (!to_device) e.wait();
+                return e;
+            }
+        } else {
+            if (sched_ != nullptr) join_graph();
+        }
+        annotate_transfer(static_cast<double>(bytes));
+        if (recorder_ != nullptr)
+            record_transfer_node(to_device, to_device ? dst : src, bytes);
+        if constexpr (std::is_trivially_copyable_v<T>)
+            altis::mem::copy_bytes(dst, src, bytes);
+        else
+            std::copy(src, src + n, dst);
+        return events_.back();
+    }
+
+    /// submit()'s shared prologue, then the command's disposition: run now
+    /// (in-order), defer (dataflow group) or enqueue (finish_submit_graph).
     event finish_submit(handler&& h);
-    /// Out-of-order path of submit(): two-phase enqueue onto the graph
-    /// scheduler (enqueue -> recorder/trace/events bookkeeping -> release).
-    event finish_submit_graph(handler&& h);
-    /// Async copy as a graph node. `device` is the buffer's backing range
-    /// (the conflict identity kernels declare); `host` the app-side pointer.
+    /// Out-of-order disposition: two-phase enqueue onto the graph scheduler
+    /// (enqueue -> recorder/trace/events bookkeeping -> release).
+    event finish_submit_graph(handler& h);
+    /// Modeled device time of one kernel. FPGA kernels are clocked at
+    /// `fmax_mhz` if positive, else at the pinned design Fmax (set_design),
+    /// else at their own estimate.
+    [[nodiscard]] double kernel_duration(const perf::kernel_stats& stats,
+                                         double fmax_mhz = 0.0) const;
+    /// The recorder's command-graph node for a kernel submission; moves the
+    /// handler's declared accesses and pipe endpoints into it.
+    [[nodiscard]] analyze::node kernel_node(handler& h) const;
+    /// Async copy as a graph node. The buffer side (`dst_ptr` when
+    /// `to_device`, else `src_ptr`) is the conflict identity kernels declare.
     event submit_transfer_graph(bool to_device, void* dst_ptr,
                                 const void* src_ptr, std::size_t bytes);
     /// Joins the whole graph and folds its modeled timeline into the queue
@@ -259,6 +251,14 @@ private:
     /// Moves settled node failures into async_errors_ (submission order)
     /// without joining; rethrows directly on cancellation.
     void collect_graph_errors();
+    /// The one join-side failure merge (dataflow groups and graph epochs):
+    /// sorts `failed` by submission index; if anything was cancelled,
+    /// records `cancel_label` and rethrows that cancellation -- the
+    /// supervisor pulled the plug, so every other failure is collateral;
+    /// otherwise folds the pipe deadlocks into one leading dataflow_error
+    /// naming every blocked kernel.
+    void merge_failures(std::vector<detail::command_failure>& failed,
+                        const char* cancel_label);
     /// Appends the kernel event; when `name` is non-null its string is moved
     /// into the event instead of copying stats.name (submissions own their
     /// handler, so finish_submit can donate the name it no longer needs).
@@ -293,8 +293,8 @@ private:
     std::vector<perf::kernel_stats> pending_stats_;
     std::vector<pending_work> pending_work_;
     std::vector<std::thread> pending_threads_;
-    std::vector<worker_error> worker_errors_;
-    std::mutex worker_errors_mutex_;
+    std::vector<detail::command_failure> dataflow_failures_;
+    std::mutex dataflow_failures_mutex_;
 
     analyze::recorder* recorder_ = nullptr;
     int queue_id_ = -1;       ///< recorder-assigned ordinal

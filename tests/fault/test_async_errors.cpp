@@ -1,8 +1,9 @@
 // SYCL-style asynchronous error delivery, the dataflow watchdog's structured
-// deadlock reporting, the RAII dataflow guard, and the configurable pipe
-// deadlock timeout.
+// deadlock reporting, the RAII dataflow guard, the configurable pipe
+// deadlock timeout, and the same injected faults through all three engines.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "fault/inject.hpp"
 #include "sycl/syclite.hpp"
+#include "trace/session.hpp"
 
 namespace syclite {
 namespace {
@@ -156,6 +158,82 @@ TEST(AsyncErrors, DataflowGuardUnlatchesQueueOnException) {
     q.submit([&](handler& h) { h.single_task(stats("b"), [] {}); });
     EXPECT_EQ(g2.join().size(), 1u);
 }
+
+// One fault plan through each way a queue runs commands. Pins what every
+// engine delivers, where, in which order, and under which failed-span labels.
+enum class engine { in_order, dataflow, out_of_order };
+
+class ThreeEngines : public ::testing::TestWithParam<engine> {};
+
+TEST_P(ThreeEngines, InjectedLaunchFaultsKeepDeliveryPointOrderAndLabels) {
+    const engine mode = GetParam();
+    fault::plan p = fault::plan::parse("launch:k1@1;launch:k3@1");
+    fault::scope fs(p);
+    altis::trace::session tr("engines");
+    altis::trace::session::scope ts(tr);
+    std::vector<std::string> delivered;
+    queue q("rtx_2080", perf::runtime_kind::sycl,
+            [&](exception_list errors) {
+                for (const auto& e : errors) {
+                    try {
+                        std::rethrow_exception(e);
+                    } catch (const std::exception& ex) {
+                        delivered.emplace_back(ex.what());
+                    }
+                }
+            },
+            mode == engine::out_of_order ? queue_property::out_of_order
+                                         : queue_property::in_order);
+    std::atomic<int> k2_ran{0};
+    auto submit = [&](const char* name, bool count) {
+        q.submit([&](handler& h) {
+            h.single_task(stats(name), [&k2_ran, count] {
+                if (count) k2_ran.fetch_add(1, std::memory_order_relaxed);
+            });
+        });
+    };
+    if (mode == engine::dataflow) q.begin_dataflow();
+    submit("k1", false);
+    submit("k2", true);
+    submit("k3", false);
+    EXPECT_TRUE(delivered.empty()) << "errors are asynchronous";
+
+    // Delivery point: the group's join for dataflow, the queue's wait()
+    // otherwise.
+    if (mode == engine::dataflow) {
+        EXPECT_TRUE(q.end_dataflow().empty());
+    } else {
+        q.wait();
+    }
+    ASSERT_EQ(delivered.size(), 2u);
+    EXPECT_NE(delivered[0].find("'k1'"), std::string::npos) << delivered[0];
+    EXPECT_NE(delivered[1].find("'k3'"), std::string::npos) << delivered[1];
+    EXPECT_EQ(k2_ran.load(std::memory_order_relaxed), 1);
+
+    std::vector<std::string> failed;
+    for (const altis::trace::span& sp : tr.spans())
+        if (sp.status == altis::trace::span_status::failed)
+            failed.push_back(sp.name);
+    if (mode == engine::dataflow) {
+        EXPECT_EQ(failed, std::vector<std::string>{"dataflow error"});
+    } else {
+        ASSERT_EQ(failed.size(), 2u);
+        EXPECT_EQ(failed[0].rfind("error[k1]: ", 0), 0u) << failed[0];
+        EXPECT_EQ(failed[1].rfind("error[k3]: ", 0), 0u) << failed[1];
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, ThreeEngines,
+                         ::testing::Values(engine::in_order, engine::dataflow,
+                                           engine::out_of_order),
+                         [](const ::testing::TestParamInfo<engine>& info) {
+                             switch (info.param) {
+                                 case engine::in_order: return "InOrder";
+                                 case engine::dataflow: return "Dataflow";
+                                 case engine::out_of_order: return "OutOfOrder";
+                             }
+                             return "Unknown";
+                         });
 
 TEST(PipeTimeout, ConstructorTimeoutBoundsBlockingOps) {
     pipe<int> pp(2, "tiny", std::chrono::milliseconds(20));

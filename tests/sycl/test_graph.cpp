@@ -14,6 +14,7 @@
 #include <deque>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +50,45 @@ perf::kernel_stats heavy_stats(const char* name) {
     k.fp32_ops = 20000.0;
     return k;
 }
+
+/// A graph node that holds back every node depending on it until the test
+/// opens it: a library_call spinning on an atomic. The constructor returns
+/// only once a pool worker has claimed the node, so the spin never lands on
+/// the test thread (whose joins run ready nodes inline and would deadlock).
+/// Needs a queue whose graph pool has workers. The destructor opens the gate
+/// and waits for the spin to end, so an early test exit cannot leave the
+/// body touching a dead gate.
+class gate {
+public:
+    explicit gate(queue& q) {
+        event_ = q.submit([&](handler& h) {
+            h.library_call(stats("gate"), [this] {
+                started_.store(true, std::memory_order_release);
+                while (!open_.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+                done_.store(true, std::memory_order_release);
+            });
+        });
+        while (!started_.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    }
+    ~gate() {
+        open();
+        while (!done_.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    }
+    gate(const gate&) = delete;
+    gate& operator=(const gate&) = delete;
+
+    void open() { open_.store(true, std::memory_order_release); }
+    [[nodiscard]] const event& node() const { return event_; }
+
+private:
+    std::atomic<bool> started_{false};
+    std::atomic<bool> open_{false};
+    std::atomic<bool> done_{false};
+    event event_;
+};
 
 // ---- timeline semantics ---------------------------------------------------
 
@@ -190,15 +230,19 @@ TEST(GraphSched, KernelAccountingMatchesUnionOfOverlappingSpans) {
 // ---- targeted joins and explicit edges ------------------------------------
 
 TEST(GraphSched, EventWaitIsATargetedJoin) {
+    thread_pool pool(2);
     queue q("rtx_2080", queue_property::out_of_order);
+    q.set_graph_pool(&pool);
     buffer<int> a(64), b(64);
     std::atomic<int> b_ran{0};
+    gate g(q);
     event e_a = q.submit([&](handler& h) {
         auto acc = h.get_access(a, access_mode::discard_write);
         h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)), stats("ka"),
                        [=](nd_item<1> it) { acc[it.get_global_id(0)] = 7; });
     });
     q.submit([&](handler& h) {
+        h.depends_on(g.node());  // unrelated to ka; held until the gate opens
         auto acc = h.get_access(b, access_mode::discard_write);
         h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)), stats("kb"),
                        [=, &b_ran](nd_item<1> it) {
@@ -206,10 +250,13 @@ TEST(GraphSched, EventWaitIsATargetedJoin) {
                            acc[it.get_global_id(0)] = 8;
                        });
     });
-    e_a.wait();  // joins ka (and only what ka depends on -- nothing)
+    // Joins ka (and only what ka depends on -- nothing); a full join would
+    // block on the closed gate.
+    e_a.wait();
     EXPECT_EQ(a.host_data()[0], 7);
     EXPECT_EQ(b_ran.load(std::memory_order_relaxed), 0)
         << "event::wait() drained an unrelated command";
+    g.open();
     q.wait();
     EXPECT_EQ(b.host_data()[0], 8);
 }
@@ -467,9 +514,12 @@ TEST(GraphSched, CancellationSkipsQueuedNodesAndRethrowsAtJoin) {
     namespace res = altis::resilience;
     res::current().reset();
     std::atomic<int> ran{0};
+    thread_pool pool(2);
     {
         queue q("rtx_2080", queue_property::out_of_order);
-        event prev;
+        q.set_graph_pool(&pool);
+        gate g(q);
+        event prev = g.node();
         for (int i = 0; i < 3; ++i)
             prev = q.submit([&](handler& h) {
                 h.depends_on(prev);
@@ -477,10 +527,11 @@ TEST(GraphSched, CancellationSkipsQueuedNodesAndRethrowsAtJoin) {
                     ran.fetch_add(1, std::memory_order_relaxed);
                 });
             });
-        // Nothing has dispatched yet (joins run the graph); cancel now, then
-        // drive dispatch through a targeted join: every node must hit its
-        // dispatch checkpoint and be cancelled, not executed.
+        // The closed gate keeps the chain from dispatching; cancel now, then
+        // open it and drive dispatch through a targeted join: every node
+        // must hit its dispatch checkpoint and be cancelled, not executed.
         res::current().cancel(res::cancel_reason::manual);
+        g.open();
         prev.wait();
         EXPECT_EQ(ran.load(std::memory_order_relaxed), 0)
             << "a queued-but-unstarted node ran past the cancellation";
@@ -498,6 +549,19 @@ TEST(GraphSched, CancellationSkipsQueuedNodesAndRethrowsAtJoin) {
         EXPECT_EQ(ran.load(std::memory_order_relaxed), 1);
     }
     res::current().reset();
+}
+
+TEST(GraphSched, ThrowingNodeDoesNotLeakTheInflightGauge) {
+    // Regression: the graph path used to bump the in-flight kernel gauge
+    // around exec by hand, so a node that threw never decremented it.
+    altis::metrics::session s("sched-gauge", {/*sample_hz=*/0.0});
+    queue q("rtx_2080", queue_property::out_of_order);
+    q.submit([&](handler& h) {
+        h.library_call(stats("boom"),
+                       [] { throw std::runtime_error("kernel threw"); });
+    });
+    EXPECT_THROW(q.wait(), std::runtime_error);
+    EXPECT_EQ(altis::metrics::instruments::queue_inflight_kernels().value(), 0);
 }
 
 TEST(GraphSched, SchedulerMetricsRecordNodesAndEdges) {

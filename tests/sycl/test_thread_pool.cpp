@@ -27,12 +27,14 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
 }
 
 TEST(ThreadPool, WorksWithZeroWorkers) {
-    thread_pool pool(0);  // may degenerate to caller-only on 1-core hosts
-    std::size_t sum = 0;
-    pool.parallel_for(100, [&](std::size_t i) { sum += i; });
-    // Caller-only execution is sequential, so plain += is safe there; with
-    // workers this test still passes because we only check reachability.
-    EXPECT_GT(sum, 0u);
+    // 0 means hardware_concurrency() - 1 workers: caller-only on 1-core
+    // hosts, real workers elsewhere, so the sum must be atomic.
+    thread_pool pool(0);
+    std::atomic<std::size_t> sum{0};
+    pool.parallel_for(100, [&](std::size_t i) {
+        sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 4950u);
 }
 
 TEST(ThreadPool, ReusableAcrossManyJobs) {
