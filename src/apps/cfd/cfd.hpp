@@ -42,7 +42,9 @@ struct mesh {
 template <typename Real>
 [[nodiscard]] std::vector<Real> initial_variables(const params& p);
 
-/// Host reference: `iterations` RK3 steps; updates variables in place.
+/// Host reference: `iterations` RK3 steps; updates variables in place. The
+/// per-element loops run on the global thread pool; the result is
+/// bit-identical to a serial sweep.
 template <typename Real>
 void golden(const params& p, const mesh& m, std::vector<Real>& variables);
 

@@ -1,5 +1,6 @@
 #include "apps/common/app.hpp"
 
+#include "apps/common/verify.hpp"
 #include "core/result_database.hpp"
 
 namespace altis::apps {
@@ -15,7 +16,11 @@ void register_standard_app(std::string name, std::string description,
         const std::string atts = "size=" + std::to_string(cfg.size) +
                                  ",device=" + cfg.device +
                                  ",variant=" + std::string(to_string(cfg.variant));
+        // Each pass verifies its own output against a golden reference
+        // computed on the first pass only (reference_once).
+        reference_scope references;
         for (int pass = 0; pass < cfg.passes; ++pass) {
+            if (pass > 0) references.next_pass();
             const AppResult r = run(cfg);
             db.add_result("kernel_time", atts, "ms", r.kernel_ms);
             db.add_result("non_kernel_time", atts, "ms", r.non_kernel_ms);

@@ -43,6 +43,9 @@ struct AppResult {
 
 /// Registers an app whose run() follows the standard contract; the registry
 /// entry runs `cfg.passes` trials and reports kernel_time / total_time (ms).
+/// The trials share one reference_scope (verify.hpp): run() obtains its
+/// golden reference through reference_once, so the oracle runs on the first
+/// pass only while every pass still verifies its device output.
 void register_standard_app(std::string name, std::string description,
                            std::vector<Variant> variants,
                            AppResult (*run)(const RunConfig&));

@@ -123,8 +123,12 @@ AppResult run(const RunConfig& cfg) {
             "memory congestion would need an algorithmic rewrite)");
     const params p = params::preset(cfg.size);
 
-    std::vector<float> expected = make_image(p);
-    golden(p, expected);
+    const auto oracle = reference_once([&] {
+        std::vector<float> image = make_image(p);
+        golden(p, image);
+        return image;
+    });
+    const std::vector<float>& expected = *oracle;
 
     sl::queue q(dev, runtime_for(cfg.variant));
     if (dev.is_fpga()) q.set_design(region(cfg.variant, dev, cfg.size).all_kernels());

@@ -70,8 +70,12 @@ AppResult run(const RunConfig& cfg) {
     const perf::device_spec& dev = resolve_device(cfg);
     const params p = params::preset(cfg.size);
 
-    fields expected = initial_fields(p);
-    golden(p, expected);
+    const auto oracle = reference_once([&] {
+        fields f = initial_fields(p);
+        golden(p, f);
+        return f;
+    });
+    const fields& expected = *oracle;
 
     const fields init = initial_fields(p);
     // ALTIS_OOO=1 opts into the out-of-order graph scheduler; default

@@ -314,7 +314,8 @@ AppResult run(const RunConfig& cfg) {
     const perf::device_spec& dev = resolve_device(cfg);
     const params p = params::preset(cfg.size);
     const dataset data = make_dataset(p);
-    const clustering expected = golden(p, data);
+    const auto oracle = reference_once([&] { return golden(p, data); });
+    const clustering& expected = *oracle;
 
     sl::queue q(dev, runtime_for(cfg.variant));
     if (dev.is_fpga()) q.set_design(region(cfg.variant, dev, cfg.size).all_kernels());

@@ -108,7 +108,8 @@ AppResult run(const RunConfig& cfg) {
     const perf::device_spec& dev = resolve_device(cfg);
     const params p = params::preset(cfg.size);
     const std::vector<particle> particles = make_particles(p);
-    const std::vector<force> expected = golden(p, particles);
+    const auto oracle = reference_once([&] { return golden(p, particles); });
+    const std::vector<force>& expected = *oracle;
 
     sl::queue q(dev, runtime_for(cfg.variant));
     if (dev.is_fpga()) q.set_design(region(cfg.variant, dev, cfg.size).all_kernels());

@@ -4,6 +4,7 @@
 
 #include "apps/common/verify.hpp"
 #include "sycl/syclite.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace altis::apps::mandelbrot {
 
@@ -45,10 +46,15 @@ std::uint16_t escape_iters(const params& p, int px, int py) {
 void golden(const params& p, std::span<std::uint16_t> iters) {
     if (iters.size() != p.pixels())
         throw std::invalid_argument("mandelbrot::golden: bad output size");
-    for (int y = 0; y < p.height; ++y)
-        for (int x = 0; x < p.width; ++x)
-            iters[static_cast<std::size_t>(y) * p.width + x] =
-                escape_iters(p, x, y);
+    // Rows are independent, so they run on the pool; each pixel's value is
+    // the same escape_iters call as in a serial sweep.
+    sl::thread_pool::global().parallel_for(
+        static_cast<std::size_t>(p.height), [&](std::size_t row) {
+            const int y = static_cast<int>(row);
+            for (int x = 0; x < p.width; ++x)
+                iters[static_cast<std::size_t>(y) * p.width + x] =
+                    escape_iters(p, x, y);
+        });
 }
 
 double mean_iterations(const params& p) {
@@ -121,8 +127,12 @@ AppResult run(const RunConfig& cfg) {
     const perf::device_spec& dev = resolve_device(cfg);
     const params p = params::preset(cfg.size);
 
-    std::vector<std::uint16_t> expected(p.pixels());
-    golden(p, expected);
+    const auto oracle = reference_once([&] {
+        std::vector<std::uint16_t> iters(p.pixels());
+        golden(p, iters);
+        return iters;
+    });
+    const std::vector<std::uint16_t>& expected = *oracle;
 
     sl::queue q(dev, runtime_for(cfg.variant));
     if (dev.is_fpga()) q.set_design(region(cfg.variant, dev, cfg.size).all_kernels());

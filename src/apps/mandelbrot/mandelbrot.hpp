@@ -30,7 +30,8 @@ struct params {
     }
 };
 
-/// Host reference: iteration count per pixel, row-major.
+/// Host reference: iteration count per pixel, row-major. Rows run on the
+/// global thread pool; the result is bit-identical to a serial sweep.
 void golden(const params& p, std::span<std::uint16_t> iters);
 
 /// Mean escape iterations per pixel, estimated on a 128x128 probe of the

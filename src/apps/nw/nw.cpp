@@ -119,7 +119,8 @@ AppResult run(const RunConfig& cfg) {
     const perf::device_spec& dev = resolve_device(cfg);
     const params p = params::preset(cfg.size);
     const workload w = make_workload(p);
-    const std::vector<int> expected = golden(p, w);
+    const auto oracle = reference_once([&] { return golden(p, w); });
+    const std::vector<int>& expected = *oracle;
 
     sl::queue q(dev, runtime_for(cfg.variant));
     if (dev.is_fpga()) q.set_design(region(cfg.variant, dev, cfg.size).all_kernels());

@@ -238,7 +238,8 @@ AppResult run_flavor(const RunConfig& cfg, flavor f) {
     const perf::device_spec& dev = resolve_device(cfg);
     const params p = params::preset(cfg.size, f);
     const std::vector<std::uint8_t> video = make_video(p);
-    const estimate expected = golden(p, f, video);
+    const auto oracle = reference_once([&] { return golden(p, f, video); });
+    const estimate& expected = *oracle;
 
     sl::queue q(dev, runtime_for(cfg.variant));
     if (dev.is_fpga())

@@ -317,7 +317,8 @@ AppResult run(const RunConfig& cfg) {
     const params p = params::preset(cfg.size);
     const rng_kind kind =
         cfg.variant == Variant::cuda ? rng_kind::xorwow : rng_kind::philox;
-    const std::vector<vec3> expected = golden(p, kind);
+    const auto oracle = reference_once([&] { return golden(p, kind); });
+    const std::vector<vec3>& expected = *oracle;
     const std::vector<sphere> scene = make_scene();
 
     sl::queue q(dev, runtime_for(cfg.variant));

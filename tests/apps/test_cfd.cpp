@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "perf/model.hpp"
+#include "support/fnv1a.hpp"
 
 namespace altis::apps::cfd {
 namespace {
@@ -52,6 +53,21 @@ TEST(Cfd, Fp64GoldenMatchesFp32Loosely) {
     golden(p, m, v64);
     for (std::size_t i = 0; i < v32.size(); ++i)
         EXPECT_NEAR(static_cast<double>(v32[i]), v64[i], 1e-3);
+}
+
+// The oracle's element loops run on the thread pool; each element's
+// arithmetic is unchanged and nothing reduces across elements, so the output
+// bytes must match the serial reference exactly. Digests pinned from the
+// serial implementation.
+TEST(Cfd, GoldenOutputIsBitIdenticalToSerialReference) {
+    const params p = params::preset(1);
+    const mesh m = make_mesh(p);
+    auto v32 = initial_variables<float>(p);
+    auto v64 = initial_variables<double>(p);
+    golden(p, m, v32);
+    golden(p, m, v64);
+    EXPECT_EQ(support::fnv1a<float>(v32), 0xf169a4b36e87fec6ULL);
+    EXPECT_EQ(support::fnv1a<double>(v64), 0x0bb3f1599e742b2aULL);
 }
 
 struct Case {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/fnv1a.hpp"
+
 namespace altis::apps::mandelbrot {
 namespace {
 
@@ -17,6 +19,21 @@ TEST(Mandelbrot, GoldenHasInteriorAndExteriorPixels) {
     }
     EXPECT_TRUE(has_max);    // interior of the set never escapes
     EXPECT_TRUE(has_small);  // far corners escape immediately
+}
+
+// The per-pixel oracle loop runs on the thread pool; each pixel's arithmetic
+// is unchanged, so the output must match the serial reference bit for bit.
+// Digests pinned from the serial implementation.
+TEST(Mandelbrot, GoldenOutputIsBitIdenticalToSerialReference) {
+    const std::uint64_t pinned[] = {0x1a0f8c00f8570a49ULL,
+                                    0x633ad937b75a876dULL};
+    for (int size = 1; size <= 2; ++size) {
+        const params p = params::preset(size);
+        std::vector<std::uint16_t> iters(p.pixels());
+        golden(p, iters);
+        EXPECT_EQ(support::fnv1a<std::uint16_t>(iters), pinned[size - 1])
+            << "size " << size;
+    }
 }
 
 TEST(Mandelbrot, MeanIterationsIsResolutionStable) {
