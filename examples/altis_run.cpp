@@ -15,20 +15,14 @@
 #include <optional>
 #include <sstream>
 
-#include "analyze/options.hpp"
-#include "analyze/recorder.hpp"
 #include "apps/common/app.hpp"
 #include "core/option_parser.hpp"
 #include "core/registry.hpp"
 #include "core/result_database.hpp"
 #include "fault/inject.hpp"
-#include "fault/options.hpp"
-#include "metrics/options.hpp"
-#include "metrics/session.hpp"
 #include "resilience/cancel.hpp"
-#include "resilience/options.hpp"
 #include "resilience/supervisor.hpp"
-#include "trace/options.hpp"
+#include "trace/harness.hpp"
 
 namespace {
 
@@ -53,62 +47,26 @@ void restore_series(const std::vector<altis::resilience::journal_series>& in,
 int main(int argc, char** argv) {
     using namespace altis;
 
-    OptionParser opts;
+    // The observer options (trace, fault, sanitize, metrics, resilience)
+    // and their sessions come from the shared harness; every value-carrying
+    // option is range-checked at parse: a malformed or out-of-range value is
+    // one clear line on stderr and exit code 2.
+    trace::cli_harness h("altis_run");
+    OptionParser& opts = h.parser();
     add_standard_options(opts);
     opts.add_option("variant", "sycl_opt",
                     "cuda | sycl_base | sycl_opt | fpga_base | fpga_opt");
     opts.add_flag("csv", "dump raw trial values as CSV");
     opts.add_flag("json", "dump results as JSON");
     opts.add_flag("list", "list registered applications and exit");
-    trace::add_trace_options(opts);
-    fault::add_fault_options(opts);
-    analyze::add_sanitize_options(opts);
-    metrics::add_metrics_options(opts);
-    resilience::add_resilience_options(opts);
-
-    // Every value-carrying option is range-checked here: a malformed or
-    // out-of-range value is one clear line on stderr and exit code 2.
-    analyze::options aopts;
-    fault::options fopts;
-    trace::options topts;
-    metrics::options mopts;
-    resilience::options ropts;
-    try {
-        if (!opts.parse(argc, argv, std::cout)) return 0;
-        aopts = analyze::options::from(opts);
-        fopts = fault::options::from(opts);
-        topts = trace::options::from(opts);
-        mopts = metrics::options::from(opts);
-        ropts = resilience::options::from(opts);
-    } catch (const OptionError& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-    }
-
-    fault::plan fplan;
-    try {
-        fplan = fopts.make_plan();
-    } catch (const fault::spec_error& e) {
-        std::cerr << "error: bad --inject spec: " << e.what() << "\n";
-        return 2;
-    }
-    std::optional<fault::scope> fscope;
-    if (fopts.enabled()) fscope.emplace(fplan);
+    if (const int rc = h.parse(argc, argv); rc >= 0) return rc;
+    const fault::options& fopts = h.fault_options();
 
     // SIGINT/SIGTERM turn into cooperative cancellation: the running config
     // unwinds at its next checkpoint, the loop below breaks, and the partial
     // report plus the (already fsync'd) journal survive the exit.
     resilience::install_signal_cancellation();
-    std::optional<resilience::supervisor> supervisor;
-    if (ropts.enabled()) {
-        try {
-            supervisor.emplace(ropts, "altis_run");
-        } catch (const std::runtime_error& e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 2;
-        }
-    }
-    resilience::supervisor* sup = supervisor ? &*supervisor : nullptr;
+    resilience::supervisor* sup = h.supervisor();
 
     apps::register_all_apps();
     auto& registry = Registry::instance();
@@ -153,23 +111,9 @@ int main(int argc, char** argv) {
     }
 
     // With --trace/--profile active, every queue the apps construct emits
-    // spans into this session; each app run becomes a top-level region span.
-    trace::session tsession("altis_run");
-    trace::session::scope tscope(tsession);
-
-    // With --metrics active, the execution engine's wall-clock telemetry
-    // (queue/pool/pipe/allocator instruments) collects for the whole run.
-    std::optional<metrics::session> msession;
-    if (mopts.enabled()) msession.emplace("altis_run");
-
-    // With --sanitize active, every queue the apps construct feeds the
-    // command graph of this recorder; the passes run after the loop.
-    std::optional<analyze::recorder> sanitizer;
-    std::optional<analyze::recorder::scope> sanitize_scope;
-    if (aopts.enabled()) {
-        sanitizer.emplace(aopts.lv);
-        sanitize_scope.emplace(*sanitizer);
-    }
+    // spans into the harness session; each app run becomes a top-level
+    // region span.
+    trace::session* tsession = trace::session::current();
 
     // Outcomes are recorded only when they carry information (injection
     // active, or an app actually failed/retried); a clean un-injected run
@@ -217,7 +161,8 @@ int main(int argc, char** argv) {
             log += text;
         };
         auto run_body = [&]() {
-            tsession.begin_region(label, tsession.last_end_ns());
+            if (tsession != nullptr)
+                tsession->begin_region(label, tsession->last_end_ns());
             try {
                 oc = fault::run_guarded(
                     [&] {
@@ -234,10 +179,12 @@ int main(int argc, char** argv) {
                         emit(os.str());
                     });
             } catch (...) {
-                tsession.end_region(tsession.last_end_ns());
+                if (tsession != nullptr)
+                    tsession->end_region(tsession->last_end_ns());
                 throw;
             }
-            tsession.end_region(tsession.last_end_ns());
+            if (tsession != nullptr)
+                tsession->end_region(tsession->last_end_ns());
             if (oc.succeeded()) {
                 std::ostringstream os;
                 os << name << ": ok (" << cfg.passes << " passes, verified";
@@ -324,36 +271,9 @@ int main(int argc, char** argv) {
     else
         db.dump_summary(std::cout);
 
-    int sanitize_rc = 0;
-    if (sanitizer) {
-        sanitize_scope.reset();
-        analyze::span_sink sink;
-        if (topts.enabled())
-            sink = [&](const analyze::finding& f) {
-                const double t = tsession.last_end_ns();
-                trace::span s;
-                s.name = "sanitize " + f.rule + ": " + f.message;
-                s.start_ns = t;
-                s.end_ns = t;
-                s.status = trace::span_status::failed;
-                tsession.record(std::move(s));
-            };
-        sanitize_rc =
-            analyze::finish(*sanitizer, aopts, std::cout, std::cerr, sink);
-        if (sanitize_rc == 2) return 2;
-    }
-    // Stop metrics first so the finished series can merge into the Perfetto
-    // export as counter tracks.
-    if (msession) msession->stop();
-    if (topts.enabled() &&
-        !trace::finish_session(tsession, topts, tsession.last_end_ns(),
-                               std::cout, std::cerr,
-                               msession ? &*msession : nullptr))
-        return 2;
-    if (msession &&
-        !metrics::finish_metrics(*msession, mopts, std::cout, std::cerr))
-        return 2;
+    const int rc = h.finish();
+    if (rc == 2) return 2;
     if (interrupted) return 128 + resilience::interrupt_signal();
     if (failures != 0) return 1;
-    return sanitize_rc;
+    return rc;
 }

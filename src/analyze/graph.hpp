@@ -105,12 +105,12 @@ enum class node_kind {
 struct node {
     node_kind kind = node_kind::kernel;
     std::uint64_t cg = 0;  ///< command-group id (kernel nodes; 0 otherwise)
-    std::string kernel;    ///< kernel name (kernel nodes)
+    std::string kernel{};  ///< kernel name (kernel nodes)
     int queue = -1;        ///< recorder-assigned queue ordinal
     int group = -1;        ///< dataflow group id; -1 for sequential commands
-    std::vector<mem_access> accesses;
-    std::vector<pipe_endpoint> pipes;
-    perf::kernel_stats stats;
+    std::vector<mem_access> accesses{};
+    std::vector<pipe_endpoint> pipes{};
+    perf::kernel_stats stats{};
     const perf::device_spec* device = nullptr;
     /// Shadow-store actor of this kernel submission (-1: none recorded);
     /// joins the node's declared ranges to its observed accesses (ALS-D1).

@@ -47,7 +47,7 @@ options options::from(const OptionParser& opts) {
 }
 
 int finish(const recorder& rec, const options& opt, std::ostream& out,
-           std::ostream& err, const span_sink& sink) {
+           std::ostream& err) {
     report r = run_all(rec);
     if (!opt.baseline_path.empty()) {
         std::ifstream bf(opt.baseline_path);
@@ -60,8 +60,11 @@ int finish(const recorder& rec, const options& opt, std::ostream& out,
         r = apply_baseline(r, parse_baseline(text.str()));
     }
     r.render_text(out);
-    if (sink)
-        for (const finding& f : r.findings()) sink(f);
+    if (stream::wanted(stream::kind::finding))
+        for (const finding& f : r.findings()) {
+            const std::string label = "sanitize " + f.rule + ": " + f.message;
+            stream::emit({.what = stream::kind::finding, .label = label});
+        }
     if (!opt.json_path.empty()) {
         std::ofstream f(opt.json_path);
         if (!f) {

@@ -17,7 +17,6 @@
 // instead of no file at all.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -44,19 +43,14 @@ struct options {
     [[nodiscard]] static options from(const OptionParser& opts);
 };
 
-/// Callback the harness uses to mirror findings onto another sink (e.g.
-/// error-flagged trace spans) without analyze depending on the trace layer.
-using span_sink = std::function<void(const finding&)>;
-
 /// Runs the passes over `rec`, applies the baseline (when given), renders
 /// the findings to `out`, writes the JSON/SARIF files when requested, and
-/// hands each finding to `sink` (the harness uses it to emit error-flagged
-/// trace spans) when provided. Returns the process exit code contribution:
+/// emits each finding on the command stream (a current trace session records
+/// it as an error-flagged span). Returns the process exit code contribution:
 /// 1 when level is `error` and any warning-or-worse finding exists
 /// (baselined findings are notes and never gate), 2 when an output file
 /// could not be written or the baseline could not be read, else 0.
 [[nodiscard]] int finish(const recorder& rec, const options& opt,
-                         std::ostream& out, std::ostream& err,
-                         const span_sink& sink = {});
+                         std::ostream& out, std::ostream& err);
 
 }  // namespace altis::analyze

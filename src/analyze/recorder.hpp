@@ -1,9 +1,14 @@
-// The recorder is the capture side of altis::sanitize: a process-wide sink
-// (mirroring trace::session's current()/scope wiring) that the syclite queue
-// and the region simulator feed command-graph nodes into. Capture is
+// The recorder is the capture side of altis::sanitize: the command-stream
+// subscriber (core/command_stream.hpp) that turns the runtime's events into
+// command-graph nodes and shadow-store happens-before edges. Capture is
 // thread-safe -- dataflow kernels retire their command groups from worker
 // threads -- and entirely passive: with no recorder current, the runtime
 // behaves (and times) exactly as before the analyzer existed.
+//
+// Three hooks stay direct calls rather than events, because they hand out
+// identity or change what runs: begin_command_group (with its retire), the
+// shadow-actor binding around kernel execution, and the pre-launch pipe
+// gate (gate_dataflow).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +23,7 @@
 #include "analyze/graph.hpp"
 #include "analyze/probe.hpp"
 #include "analyze/shadow.hpp"
+#include "core/command_stream.hpp"
 
 namespace altis::analyze {
 
@@ -26,18 +32,16 @@ enum class level { off, warn, error };
 
 [[nodiscard]] const char* to_string(level lv);
 
-class recorder {
+class recorder : public stream::subscriber {
 public:
-    explicit recorder(level lv = level::warn)
-        : level_(lv), shadow_(std::make_unique<shadow::store>()) {}
+    explicit recorder(level lv = level::warn);
 
     [[nodiscard]] level enforcement() const { return level_; }
 
-    // ---- capture API (called by syclite / simulate_region) ----
+    /// One command event -> command-graph nodes / shadow edges.
+    void on_event(const stream::event& e) override;
 
-    /// Registers a queue; nodes carry the returned ordinal so the passes
-    /// never correlate commands across unrelated queues.
-    int register_queue(const perf::device_spec& dev);
+    // ---- direct hooks (called by syclite) ----
 
     struct cg_handle {
         std::uint64_t id = 0;
@@ -52,45 +56,18 @@ public:
     /// Marks the group's accessors stale (kernel finished or group dropped).
     void retire(std::uint64_t cg);
 
-    /// Opens a dataflow group; members record the returned id.
-    int begin_group();
-    /// Dataflow group joined (worker threads drained): closes the group's
-    /// happens-before edges in the shadow store.
-    void end_group(int group, int queue);
+    /// Pre-launch pipe gate of the dataflow group open on `timeline`: lints
+    /// the group's complete pipe topology before any worker can block on a
+    /// pipe and files the findings. Returns the refusal message when the
+    /// level is `error` and the topology has errors (the group is dropped),
+    /// else an empty string.
+    [[nodiscard]] std::string gate_dataflow(int timeline);
 
-    void add_node(node n);
-    void record_wait(int queue);
-    void record_transfer(int queue, node_kind kind, const void* base,
-                         std::size_t bytes);
-
-    // ---- out-of-order graph capture (DESIGN.md "Command graph") ----
-    // On an OOO queue the submission log is not an execution order, so
-    // happens-before is sourced from the scheduler's real edges instead of
-    // the in-order queue-clock chaining.
-
-    /// Kernel node on an out-of-order queue: `dep_actors` are the shadow
-    /// actors of its resolved graph dependencies (explicit depends_on plus
-    /// accessor-implied conflicts).
-    void add_node_graph(node n, const std::vector<int>& dep_actors);
-    /// Async transfer node on an out-of-order queue; allocates and returns
-    /// the transfer's own shadow actor (ordered after `dep_actors`).
-    int record_transfer_graph(int queue, node_kind kind, const void* base,
-                              std::size_t bytes,
-                              const std::vector<int>& dep_actors);
-    /// Graph join without a wait node (buffer write-back, queue teardown):
-    /// the host joins every outstanding member of `queue`'s graph.
-    void record_graph_join(int queue);
-    /// The wait node for queue::wait() on an OOO queue; `pending` is the
-    /// number of commands in the graph when the join was issued (ALS-L5).
-    /// Call after record_graph_join().
-    void record_graph_wait_node(int queue, std::size_t pending);
     /// event::wait(): the host joined one node's actor (edges make that
     /// transitive over the node's dependencies).
     void record_host_join_actor(int actor);
-    void record_usm_alloc(const void* base, std::size_t bytes,
-                          std::uint64_t generation = 0);
-    void record_usm_free(const void* base, std::uint64_t generation = 0);
-    /// Analytic descriptor from simulate_region: perf-lint rules only.
+    /// Analytic descriptor (simulate_region, descriptor-only lint): the
+    /// perf-lint rules only.
     void record_simulated_kernel(const perf::kernel_stats& stats,
                                  const perf::device_spec& dev);
 
@@ -103,8 +80,6 @@ public:
     // ---- analysis-side API ----
 
     [[nodiscard]] const command_graph& graph() const { return graph_; }
-    /// Kernel nodes of one dataflow group (used by the pre-launch gate).
-    [[nodiscard]] std::vector<node> group_nodes(int group) const;
     /// Findings raised during capture (merged into the final report).
     [[nodiscard]] const report& runtime_findings() const { return runtime_; }
     /// Observed-access shadow store of this session (ALS-R*/ALS-D1 input).
@@ -126,6 +101,17 @@ public:
     };
 
 private:
+    /// What the recorder knows about one observed queue.
+    struct timeline_state {
+        int queue = 0;  ///< ordinal: nodes never correlate across queues
+        const perf::device_spec* device = nullptr;
+        int group = -1;  ///< open dataflow group (-1: none)
+    };
+
+    void add_node(node n);
+    /// Kernel nodes of one dataflow group (the pre-launch gate's input).
+    [[nodiscard]] std::vector<node> group_nodes(int group) const;
+
     level level_;
     mutable std::mutex mu_;
     command_graph graph_;
@@ -138,6 +124,8 @@ private:
     std::unordered_map<std::uint64_t, std::string> cg_kernel_;
     std::unordered_map<std::uint64_t, int> cg_actor_;
     std::unordered_map<int, std::vector<int>> group_members_;
+    /// Observed queues by stream timeline id.
+    std::unordered_map<int, timeline_state> timelines_;
     /// Actors submitted to a queue's out-of-order graph since its last join.
     std::unordered_map<int, std::vector<int>> ooo_members_;
     /// (cg, base) pairs already reported by the probe (dedup).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "analyze/recorder.hpp"
+#include "core/command_stream.hpp"
 #include "fault/inject.hpp"
 #include "perf/model.hpp"
 #include "perf/resource_model.hpp"
@@ -30,14 +30,8 @@ std::vector<perf::kernel_stats> timed_region::all_kernels() const {
 timing_estimate simulate_region(const timed_region& region,
                                 const perf::device_spec& dev,
                                 perf::runtime_kind rt) {
-    return simulate_region(region, dev, rt, trace::session::current());
-}
-
-timing_estimate simulate_region(const timed_region& region,
-                                const perf::device_spec& dev,
-                                perf::runtime_kind rt,
-                                trace::session* trace) {
     namespace fault = altis::fault;
+    using stream::kind;
     timing_estimate t;
 
     double design_fmax = 0.0;
@@ -53,27 +47,22 @@ timing_estimate simulate_region(const timed_region& region,
 
     const double launch = perf::launch_overhead_ns(rt, dev);
 
-    // Span emission walks one simulated cursor through the same charges the
-    // estimate accumulates; each slot is one aggregated span (invocations =
-    // slot count) so huge regions stay inspectable without emitting
-    // thousands of identical events.
+    // The region is a timeline of its own on the command stream: one
+    // simulated cursor walks through the same charges the estimate
+    // accumulates, and each slot is one aggregated kernel event
+    // (invocations = slot count), so huge regions stay inspectable without
+    // emitting thousands of identical events. The recorder additionally
+    // gets every descriptor (the perf-lint rules need nothing more) at the
+    // spot where its cost is charged.
+    const stream::observers obs = stream::current();
+    const int timeline = obs ? stream::next_timeline() : -1;
+    auto emit = [&](stream::event e) {
+        e.timeline = timeline;
+        e.simulated = true;
+        obs.emit(e);
+    };
     double cursor = 0.0;
-    if (trace != nullptr) {
-        if (trace->device() == nullptr) trace->bind_device(dev);
-        cursor = trace->last_end_ns();
-        trace->begin_region(region.name, cursor);
-    }
-    auto emit = [&](trace::span s) {
-        if (trace != nullptr) trace->record(std::move(s));
-    };
-
-    // The analytic path has no queue to capture, but the perf-lint rules
-    // only need the descriptors: hand each one to the current recorder (if
-    // any) at the same spot where its cost is charged.
-    auto* sanitize = analyze::recorder::current();
-    auto record_stats = [&](const perf::kernel_stats& k) {
-        if (sanitize != nullptr) sanitize->record_simulated_kernel(k, dev);
-    };
+    emit({.what = kind::open, .label = region.name, .device = &dev});
 
     // The analytic path has no real queue/buffers/pipes, so the fault plan's
     // checkpoints live here instead: the same op kinds fire at the
@@ -81,9 +70,9 @@ timing_estimate simulate_region(const timed_region& region,
     // alloc per region, launch per kernel slot, pipe stalls against dataflow
     // kernel names, transfer at the PCIe charge), and a firing checkpoint
     // throws out of the simulation just as the functional runtime would.
-    // The failure is recorded as a zero-length failed span and the region
-    // span is closed before rethrowing, so a faulted config still leaves a
-    // well-formed trace.
+    // The failure is reported as an error event and the region is closed
+    // before rethrowing, so a faulted config still leaves a well-formed
+    // trace.
     try {
         resilience::checkpoint();
         fault::maybe_inject(fault::op_kind::device, dev.name);
@@ -93,24 +82,23 @@ timing_estimate simulate_region(const timed_region& region,
         if (region.include_setup) {
             const double setup = perf::setup_overhead_ns(rt, dev);
             t.non_kernel_ns += setup;
-            emit({trace::span_kind::setup, "setup", cursor, cursor + setup});
+            emit({.what = kind::setup, .t0 = cursor, .t1 = cursor + setup});
             cursor += setup;
         }
 
         for (const auto& slot : region.kernels) {
             resilience::checkpoint();
             fault::maybe_inject(fault::op_kind::launch, slot.stats.name);
-            record_stats(slot.stats);
+            emit({.what = kind::simulated_kernel, .device = &dev,
+                  .stats = &slot.stats});
             const double per = one_kernel_ns(slot.stats);
             t.kernel_ns += per * slot.count;
             t.non_kernel_ns += launch * slot.count;
-            emit({trace::span_kind::overhead, "launch", cursor,
-                  cursor + launch * slot.count});
-            cursor += launch * slot.count;
-            if (trace != nullptr)
-                trace->record_kernel(slot.stats, cursor,
-                                     cursor + per * slot.count, 0, slot.count);
-            cursor += per * slot.count;
+            const double start = cursor + launch * slot.count;
+            emit({.what = kind::kernel, .t0 = cursor, .t1 = start,
+                  .start_ns = start, .end_ns = start + per * slot.count,
+                  .stats = &slot.stats, .invocations = slot.count});
+            cursor = start + per * slot.count;
         }
         for (const auto& group : region.dataflow) {
             // An injected pipe stall wedges the whole group: report it the
@@ -129,29 +117,24 @@ timing_estimate simulate_region(const timed_region& region,
                 throw syclite::dataflow_error(msg, std::move(stalled));
             }
             double worst = 0.0;
+            std::vector<double> lanes;
             for (const auto& k : group.kernels) {
-                record_stats(k);
-                worst = std::max(worst, one_kernel_ns(k));
+                emit({.what = kind::simulated_kernel, .device = &dev,
+                      .stats = &k});
+                const double d = one_kernel_ns(k);
+                lanes.push_back(d * group.count);
+                worst = std::max(worst, d);
             }
             t.kernel_ns += worst * group.count;
             const double group_launch = launch * group.count *
                                         static_cast<double>(group.kernels.size());
             t.non_kernel_ns += group_launch;
-            emit({trace::span_kind::overhead, "launch", cursor,
-                  cursor + group_launch});
-            cursor += group_launch;
-            if (trace != nullptr) {
-                std::string label = "dataflow";
-                for (const auto& k : group.kernels) label += ":" + k.name;
-                trace->record({trace::span_kind::dataflow_group, label, cursor,
-                               cursor + worst * group.count});
-                int lane = 1;
-                for (const auto& k : group.kernels)
-                    trace->record_kernel(
-                        k, cursor, cursor + one_kernel_ns(k) * group.count,
-                        lane++, group.count);
-            }
-            cursor += worst * group.count;
+            const double start = cursor + group_launch;
+            emit({.what = kind::group_end, .t0 = cursor, .t1 = start,
+                  .start_ns = start, .end_ns = start + worst * group.count,
+                  .invocations = group.count, .members = &group.kernels,
+                  .durations = &lanes});
+            cursor = start + worst * group.count;
         }
 
         if (region.transfer_calls > 0.0) {
@@ -165,32 +148,28 @@ timing_estimate simulate_region(const timed_region& region,
             const double total =
                 perf::transfer_ns(rt, dev, per_call) * region.transfer_calls;
             t.non_kernel_ns += total;
-            trace::span s{trace::span_kind::transfer, "transfers", cursor,
-                          cursor + total};
-            s.counters.bytes = region.transfer_bytes;
-            s.counters.invocations = region.transfer_calls;
-            emit(std::move(s));
+            emit({.what = kind::transfer, .t0 = cursor, .t1 = cursor + total,
+                  .label = "transfers", .invocations = region.transfer_calls,
+                  .bytes = region.transfer_bytes});
             cursor += total;
         }
         {
             const double sync = perf::sync_overhead_ns(rt, dev) * region.syncs;
             t.non_kernel_ns += sync;
-            emit({trace::span_kind::sync, "sync", cursor, cursor + sync});
+            emit({.what = kind::wait, .t0 = cursor, .t1 = cursor + sync,
+                  .label = "sync"});
             cursor += sync;
         }
         if (region.extra_non_kernel_ns > 0.0) {
             t.non_kernel_ns += region.extra_non_kernel_ns;
-            emit({trace::span_kind::overhead, "library overhead", cursor,
-                  cursor + region.extra_non_kernel_ns});
+            emit({.what = kind::overhead, .t0 = cursor,
+                  .t1 = cursor + region.extra_non_kernel_ns,
+                  .label = "library overhead"});
             cursor += region.extra_non_kernel_ns;
         }
     } catch (const std::exception& e) {
-        if (trace != nullptr) {
-            trace::span s{trace::span_kind::overhead, e.what(), cursor, cursor};
-            s.status = trace::span_status::failed;
-            trace->record(std::move(s));
-            trace->end_region(cursor);
-        }
+        emit({.what = kind::error, .t0 = cursor, .label = e.what()});
+        emit({.what = kind::close, .t0 = cursor});
         throw;
     }
 
@@ -200,8 +179,7 @@ timing_estimate simulate_region(const timed_region& region,
     // the work happens even if the host timer misses it.
     if (!region.synchronized) t.kernel_ns = 0.0;
 
-    if (trace != nullptr) trace->end_region(cursor);
-
+    emit({.what = kind::close, .t0 = cursor});
     return t;
 }
 

@@ -14,7 +14,6 @@
 #include "perf/device.hpp"
 #include "perf/kernel_stats.hpp"
 #include "perf/overhead.hpp"
-#include "trace/session.hpp"
 
 namespace altis::apps {
 
@@ -66,19 +65,16 @@ struct timing_estimate {
 /// Simulate the region on a device under a runtime. On FPGAs all kernels
 /// share one bitstream: the design Fmax (min over kernels) clocks everything.
 ///
-/// When a trace session is active (trace::session::current(), or an explicit
-/// one via the overload) the simulation also emits spans: the region itself
-/// as a top-level span, one aggregated kernel span per slot (`invocations` =
-/// the slot's count), dataflow groups as an envelope plus per-kernel lanes,
-/// and transfer/sync/setup/overhead spans for the non-kernel charges.
-/// Successive simulations append after the session's last span, so one trace
-/// file can hold a whole bench sweep.
+/// The simulation is a timeline on the command stream
+/// (core/command_stream.hpp): with a trace session current it becomes the
+/// region itself as a top-level span, one aggregated kernel span per slot
+/// (`invocations` = the slot's count), dataflow groups as an envelope plus
+/// per-kernel lanes, and transfer/sync/setup/overhead spans for the
+/// non-kernel charges. Successive simulations append after the session's
+/// last span, so one trace file can hold a whole bench sweep. A current
+/// sanitize recorder receives every kernel descriptor.
 [[nodiscard]] timing_estimate simulate_region(const timed_region& region,
                                               const perf::device_spec& dev,
                                               perf::runtime_kind rt);
-[[nodiscard]] timing_estimate simulate_region(const timed_region& region,
-                                              const perf::device_spec& dev,
-                                              perf::runtime_kind rt,
-                                              trace::session* trace);
 
 }  // namespace altis::apps

@@ -12,6 +12,7 @@
 #include "apps/raytracing/raytracing.hpp"
 #include "apps/srad/srad.hpp"
 #include "apps/where/where.hpp"
+#include "trace/session.hpp"
 
 namespace altis::bench {
 

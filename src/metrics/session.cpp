@@ -4,11 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-namespace altis::metrics {
+#include "metrics/alloc_ledger.hpp"
+#include "metrics/instruments.hpp"
 
-namespace {
-session* g_current = nullptr;
-}  // namespace
+namespace altis::metrics {
 
 session::config session::config::from_env() {
     config c;
@@ -20,14 +19,23 @@ session::config session::config::from_env() {
     return c;
 }
 
-session* session::current() { return g_current; }
+session* session::current() {
+    return static_cast<session*>(stream::installed(stream::slot::metrics));
+}
 
 session::session(std::string name, config cfg)
-    : name_(std::move(name)), cfg_(cfg) {
-    if (g_current != nullptr)
+    : stream::subscriber(stream::bit(stream::kind::wait) |
+                         stream::bit(stream::kind::group_end) |
+                         stream::bit(stream::kind::error) |
+                         stream::bit(stream::kind::epoch) |
+                         stream::bit(stream::kind::usm_alloc) |
+                         stream::bit(stream::kind::usm_free)),
+      name_(std::move(name)),
+      cfg_(cfg) {
+    if (current() != nullptr)
         throw std::logic_error(
             "metrics::session: a session is already active");
-    g_current = this;
+    (void)stream::install(stream::slot::metrics, this);
     // Each session reports its own interval; instruments registered by
     // earlier runs keep their identity but restart from zero.
     registry::instance().reset_all();
@@ -39,7 +47,46 @@ session::session(std::string name, config cfg)
 
 session::~session() {
     stop();
-    g_current = nullptr;
+    (void)stream::install(stream::slot::metrics, nullptr);
+}
+
+void session::on_event(const stream::event& e) {
+    if (e.simulated || !collecting()) return;
+    namespace mi = instruments;
+    switch (e.what) {
+        case stream::kind::wait: mi::queue_waits().add(); break;
+        case stream::kind::group_end: mi::queue_dataflow_groups().add(); break;
+        case stream::kind::error: mi::queue_async_errors().add(); break;
+        case stream::kind::epoch: {
+            // > 100%: the epoch packed more modeled device time than wall
+            // span, i.e. kernels/transfers actually overlapped.
+            const double elapsed = e.t1 - e.t0;
+            if (e.busy_ns > 0.0 && elapsed > 0.0)
+                mi::sched_overlap_pct().record(100.0 * e.busy_ns / elapsed);
+            break;
+        }
+        case stream::kind::usm_alloc: {
+            const auto bytes = static_cast<std::uint64_t>(e.bytes);
+            alloc_ledger::instance().on_alloc(e.base, bytes);
+            mi::usm_allocs().add();
+            mi::usm_live_bytes().add(static_cast<std::int64_t>(bytes));
+            const std::int64_t live = mi::usm_live_bytes().value();
+            if (live > 0)
+                mi::usm_peak_bytes().record(static_cast<std::uint64_t>(live));
+            break;
+        }
+        case stream::kind::usm_free: {
+            mi::usm_frees().add();
+            // The ledger only knows allocations metered by the *current*
+            // session, so a block allocated before the session started
+            // frees as 0 bytes instead of driving the gauge negative.
+            const std::uint64_t bytes = alloc_ledger::instance().on_free(e.base);
+            if (bytes > 0)
+                mi::usm_live_bytes().sub(static_cast<std::int64_t>(bytes));
+            break;
+        }
+        default: break;
+    }
 }
 
 double session::now_ns() const {

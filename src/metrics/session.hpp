@@ -5,6 +5,11 @@
 // background sampler thread that snapshots gauges and watermarks into time
 // series (Perfetto counter tracks, JSON "series" section).
 //
+// A session is also the command-stream subscriber (core/command_stream.hpp)
+// that keeps the queue-level counters: waits, dataflow groups, async errors,
+// graph overlap and USM allocations are metered from the runtime's command
+// events rather than by hooks of their own.
+//
 // Exactly one session may be active at a time (construction throws
 // otherwise). stop() freezes the measurement interval -- collection off,
 // sampler joined, final sample taken -- after which take_snapshot()/series()
@@ -19,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/command_stream.hpp"
 #include "metrics/registry.hpp"
 
 namespace altis::metrics {
@@ -44,7 +50,7 @@ struct sampled_series {
     std::vector<std::pair<double, double>> samples;
 };
 
-class session {
+class session : public stream::subscriber {
 public:
     struct config {
         /// Sampler frequency; <= 0 disables the sampler thread (snapshots
@@ -56,7 +62,7 @@ public:
 
     explicit session(std::string name = "altis",
                      config cfg = config::from_env());
-    ~session();
+    ~session() override;
 
     session(const session&) = delete;
     session& operator=(const session&) = delete;
@@ -79,6 +85,10 @@ public:
     [[nodiscard]] double sample_hz() const { return cfg_.sample_hz; }
 
     [[nodiscard]] static session* current();
+
+    /// Meters the queue-level counters from one command event (only while
+    /// collecting; the analytic region simulator is not metered).
+    void on_event(const stream::event& e) override;
 
 private:
     void sampler_loop();

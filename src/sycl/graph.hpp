@@ -15,7 +15,7 @@
 // with the resolved edges and deterministic simulated start/end (computed on
 // the host thread in submission order -- the modeled timeline is identical
 // no matter how wall-clock execution interleaves); the queue finishes its
-// bookkeeping (recorder, trace, events log) and then release()s the node for
+// bookkeeping (observer events, events log) and then release()s the node for
 // dispatch. Nothing can run before its shadow-clock edges exist.
 //
 // fault/resilience integration: every node runs through

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analyze/pipes.hpp"
 #include "analyze/sanitize.hpp"
 #include "fault/inject.hpp"
 #include "metrics/instruments.hpp"
@@ -16,6 +15,7 @@
 namespace syclite {
 
 namespace fault = altis::fault;
+using stream::kind;
 
 namespace {
 
@@ -54,26 +54,24 @@ struct release_guard {
 
 queue::queue(const perf::device_spec& dev, perf::runtime_kind rt,
              async_handler handler, queue_property prop)
-    : dev_(dev), rt_(rt), trace_(trace::session::current()),
-      handler_(std::move(handler)),
-      recorder_(analyze::recorder::current()) {
+    : dev_(dev), rt_(rt), handler_(std::move(handler)),
+      obs_(stream::current()), recorder_(analyze::recorder::current()) {
     if (prop == queue_property::out_of_order)
         sched_ = std::make_unique<graph::scheduler>(&thread_pool::global());
     // Sized for a typical timed region; amortizes away the vector growth
     // that showed up in BM_SubmitDispatch.
     events_.reserve(256);
-    if (trace_ != nullptr) {
-        if (trace_->device() == nullptr) trace_->bind_device(dev_);
-        trace_base_ns_ = trace_->last_end_ns();
+    if (obs_) {
+        timeline_ = stream::next_timeline();
+        emit({.what = kind::open, .device = &dev_});
     }
-    if (recorder_ != nullptr) queue_id_ = recorder_->register_queue(dev_);
     // Device acquisition is an injection point: a fault plan can make this
     // device intermittently unavailable (oneAPI enumeration failures).
     try {
         fault::maybe_inject(fault::op_kind::device, dev_.name,
                             "device acquisition failed");
     } catch (const std::exception& e) {
-        record_error_span(std::string("error: ") + e.what());
+        record_error(std::string("error: ") + e.what());
         throw;
     }
 }
@@ -91,27 +89,13 @@ queue::~queue() {
         // pending).
         sched_->wait_all();
         (void)sched_->drain_errors();
-        if (recorder_ != nullptr) recorder_->record_graph_join(queue_id_);
+        emit({.what = kind::epoch});
     }
+    emit({.what = kind::close});
 }
 
-void queue::record_transfer_node(bool to_device, const void* base,
-                                 std::size_t bytes) {
-    recorder_->record_transfer(queue_id_,
-                               to_device ? analyze::node_kind::transfer_in
-                                         : analyze::node_kind::transfer_out,
-                               base, bytes);
-}
-
-void queue::record_error_span(const std::string& label) {
-    // Count every error event the queue observes, traced or not.
-    if (altis::metrics::collecting())
-        altis::metrics::instruments::queue_async_errors().add();
-    if (trace_ == nullptr) return;
-    trace::span s{trace::span_kind::overhead, label,
-                  trace_base_ns_ + sim_now_ns_, trace_base_ns_ + sim_now_ns_};
-    s.status = trace::span_status::failed;
-    trace_->record(std::move(s));
+void queue::record_error(const std::string& label) {
+    emit({.what = kind::error, .t0 = sim_now_ns_, .label = label});
 }
 
 event queue::record(const perf::kernel_stats& stats, double duration_ns,
@@ -123,13 +107,10 @@ event queue::record(const perf::kernel_stats& stats, double duration_ns,
     sim_now_ns_ = end;
     non_kernel_ns_ += launch;
     kernel_ns_ += duration_ns;
-    if (trace_ != nullptr) {
-        const double b = trace_base_ns_;
-        trace_->record({trace::span_kind::overhead, "launch", b + submit,
-                        b + start});
-        trace_->record_kernel(stats, b + start, b + end);
-    }
-    // The trace above is the last reader of stats.name; a donated name is
+    if (obs_.wants(kind::kernel))
+        emit({.what = kind::kernel, .t0 = submit, .t1 = start,
+              .start_ns = start, .end_ns = end, .stats = &stats});
+    // The event above is the last reader of stats.name; a donated name is
     // moved from here on.
     events_.emplace_back(submit, start, end,
                          name != nullptr ? std::move(*name)
@@ -145,18 +126,10 @@ double queue::kernel_duration(const perf::kernel_stats& stats,
                : perf::kernel_time_ns(stats, dev_);
 }
 
-analyze::node queue::kernel_node(handler& h) const {
-    analyze::node n;
-    n.kind = analyze::node_kind::kernel;
-    n.cg = h.cg_.id;
-    n.kernel = h.stats().name;
-    n.queue = queue_id_;
-    n.group = in_dataflow_ ? current_group_ : -1;
-    n.accesses = std::move(h.accesses_);
-    n.pipes = std::move(h.pipes_);
-    n.stats = h.stats();
-    n.device = &dev_;
-    return n;
+stream::event queue::submit_event(handler& h) {
+    return {.what = kind::submit, .stats = &h.stats(), .cg = h.cg_.id,
+            .dataflow = in_dataflow_, .accesses = &h.accesses_,
+            .pipes = &h.pipes_};
 }
 
 event queue::finish_submit(handler&& h) {
@@ -179,7 +152,7 @@ event queue::finish_submit(handler&& h) {
     }
     if (graph_node) return finish_submit_graph(h);
 
-    if (recorder_ != nullptr) recorder_->add_node(kernel_node(h));
+    if (obs_.wants(kind::submit)) emit(submit_event(h));
     if (in_dataflow_) {
         // Deferred: the worker thread starts at end_dataflow(), once the
         // whole group is known (see pending_work in the header).
@@ -193,7 +166,7 @@ event queue::finish_submit(handler&& h) {
     if (std::optional<detail::command_failure> f = detail::run_command(
             h.stats().name, /*transfer=*/false, h.exec_, thread_pool::global(),
             h.cg_.actor, recorder_, h.cg_.id)) {
-        record_error_span(error_label(*f));
+        record_error(error_label(*f));
         // SYCL semantics: execution errors are asynchronous -- they surface
         // at the next wait()/throw_asynchronous(), not here.
         if (!handler_) std::rethrow_exception(f->error);
@@ -240,21 +213,24 @@ event queue::finish_submit_graph(handler& h) {
     s.recorder = recorder_;
     const graph::ticket t = sched_->enqueue(std::move(s));
 
-    // Phase two: shadow edges, command-graph node, trace span and the event
-    // log all complete on this thread before release() lets the node run.
-    // The release is a scope guard: if any of that bookkeeping throws, the
-    // node must still be released, or it stays `held` forever and every
-    // later join -- including ~queue during unwind -- deadlocks.
+    // Phase two: the observers (shadow edges, command-graph node, trace
+    // spans) and the event log all complete on this thread before release()
+    // lets the node run. The release is a scope guard: if any of that
+    // bookkeeping throws, the node must still be released, or it stays
+    // `held` forever and every later join -- including ~queue during unwind
+    // -- deadlocks.
     release_guard release{sched_.get(), t.id};
-    if (recorder_ != nullptr)
-        recorder_->add_node_graph(kernel_node(h), t.dep_actors);
-    if (trace_ != nullptr) {
-        const double b = trace_base_ns_;
-        trace_->record({trace::span_kind::overhead, "launch", b + submit,
-                        b + submit + launch});
-        trace_->record_kernel(h.stats(), b + t.start_ns, b + t.end_ns, t.lane,
-                              1.0, t.id, t.deps);
+    if (obs_.wants(kind::submit)) {
+        stream::event e = submit_event(h);
+        e.graph = true;
+        e.dep_actors = &t.dep_actors;
+        emit(e);
     }
+    if (obs_.wants(kind::kernel))
+        emit({.what = kind::kernel, .graph = true, .t0 = submit,
+              .t1 = submit + launch, .start_ns = t.start_ns, .end_ns = t.end_ns,
+              .stats = &h.stats(), .lane = t.lane, .cmd = t.id,
+              .deps = &t.deps});
     events_.emplace_back(submit, t.start_ns, t.end_ns, h.stats().name, t.id,
                          sched_->state());
     return events_.back();
@@ -281,23 +257,14 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
     s.recorder = recorder_;
     const graph::ticket t = sched_->enqueue(std::move(s));
 
+    // Lane 1 is the modeled PCIe lane. The sanitizer hands back the copy's
+    // shadow actor for the release.
     release_guard release{sched_.get(), t.id};
-    if (recorder_ != nullptr)
-        release.actor = recorder_->record_transfer_graph(
-            queue_id_,
-            to_device ? analyze::node_kind::transfer_in
-                      : analyze::node_kind::transfer_out,
-            to_device ? dst_ptr : src_ptr, bytes, t.dep_actors);
-    if (trace_ != nullptr) {
-        trace::span sp{trace::span_kind::transfer, "transfer",
-                       trace_base_ns_ + t.start_ns,
-                       trace_base_ns_ + t.end_ns};
-        sp.counters.bytes = static_cast<double>(bytes);
-        sp.track = t.lane;  // 1: the modeled PCIe lane
-        sp.cmd = t.id;
-        sp.deps = t.deps;
-        trace_->record(std::move(sp));
-    }
+    emit({.what = kind::transfer, .graph = true, .t0 = t.start_ns,
+          .t1 = t.end_ns, .label = "transfer", .lane = t.lane, .cmd = t.id,
+          .deps = &t.deps, .base = to_device ? dst_ptr : src_ptr,
+          .bytes = static_cast<double>(bytes), .to_device = to_device,
+          .dep_actors = &t.dep_actors, .actor = &release.actor});
     events_.emplace_back(submit, t.start_ns, t.end_ns, std::string(), t.id,
                          sched_->state());
     return events_.back();
@@ -313,7 +280,7 @@ void queue::merge_failures(std::vector<detail::command_failure>& failed,
         if (f.cancelled) {
             // Never routed through an async handler: a cancelled sweep must
             // unwind.
-            record_error_span(cancel_label);
+            record_error(cancel_label);
             std::rethrow_exception(f.error);
         }
     const auto blocked_end =
@@ -342,7 +309,7 @@ void queue::collect_graph_errors() {
     std::vector<detail::command_failure> failed = sched_->drain_errors();
     merge_failures(failed, "graph cancelled");
     for (detail::command_failure& f : failed) {
-        record_error_span(error_label(f));
+        record_error(error_label(f));
         async_errors_.push_back(std::move(f.error));
     }
 }
@@ -379,16 +346,6 @@ void queue::join_graph() {
         merged.emplace_back(lo, hi);
     }
     kernel_ns_ += covered;
-    if (trace_ != nullptr) {
-        // The per-kernel spans live on lane tracks (>= 2), which the trace
-        // session excludes from its wall-time sums; the epoch's kernel wall
-        // share is published as group spans over the union intervals, the
-        // same convention dataflow regions use.
-        const double b = trace_base_ns_;
-        for (const auto& [s, e] : merged)
-            trace_->record(
-                {trace::span_kind::dataflow_group, "graph epoch", b + s, b + e});
-    }
     sim_now_ns_ = std::max(sim_now_ns_, horizon);
     const double elapsed = sim_now_ns_ - epoch_start_ns_;
     // The epoch's non-kernel share is exactly `elapsed - covered`. Launch
@@ -397,12 +354,10 @@ void queue::join_graph() {
     // covered gets credited back, keeping kernel + non-kernel == simulated
     // wall. The per-epoch sum of both charges is elapsed - covered >= 0.
     non_kernel_ns_ += elapsed - covered - epoch_launch_ns_;
-    if (altis::metrics::collecting() && busy > 0.0 && elapsed > 0.0)
-        // > 100%: the epoch packed more modeled device time than wall span,
-        // i.e. kernels/transfers actually overlapped.
-        altis::metrics::instruments::sched_overlap_pct().record(
-            100.0 * busy / elapsed);
-    if (recorder_ != nullptr) recorder_->record_graph_join(queue_id_);
+    // Observers see the epoch's union intervals (trace), its overlap ratio
+    // (metrics) and the host join of its members (sanitizer).
+    emit({.what = kind::epoch, .t0 = epoch_start_ns_, .t1 = sim_now_ns_,
+          .spans = &merged, .busy_ns = busy});
     sched_->reset_epoch();
     epoch_start_ns_ = sim_now_ns_;
     epoch_launch_ns_ = 0.0;
@@ -416,11 +371,6 @@ void queue::set_design(const std::vector<perf::kernel_stats>& design_kernels) {
         perf::estimate_design_resources(design_kernels, dev_).fmax_mhz;
 }
 
-void queue::set_recorder(analyze::recorder* r) {
-    recorder_ = r;
-    queue_id_ = r != nullptr ? r->register_queue(dev_) : -1;
-}
-
 void queue::begin_dataflow() {
     if (in_dataflow_)
         throw std::logic_error("queue: dataflow groups cannot nest");
@@ -428,7 +378,7 @@ void queue::begin_dataflow() {
     // the graph drains first so the group starts from a settled timeline.
     join_graph();
     in_dataflow_ = true;
-    if (recorder_ != nullptr) current_group_ = recorder_->begin_group();
+    emit({.what = kind::group_begin});
 }
 
 void queue::abort_dataflow() noexcept {
@@ -443,7 +393,6 @@ void queue::abort_dataflow() noexcept {
     pending_stats_.clear();
     dataflow_failures_.clear();
     in_dataflow_ = false;
-    current_group_ = -1;
 }
 
 void queue::launch_dataflow_workers() {
@@ -475,40 +424,28 @@ std::vector<event> queue::end_dataflow() {
     if (!in_dataflow_)
         throw std::logic_error("queue: end_dataflow without begin_dataflow");
     in_dataflow_ = false;
-    if (altis::metrics::collecting())
-        altis::metrics::instruments::queue_dataflow_groups().add();
 
     // Pre-launch pipe lint: with the group's submissions complete but no
     // worker started yet, the static topology can be checked before anything
     // can block on a pipe. Under --sanitize=error a group with pipe errors
-    // is refused here -- the static complement of PR 2's runtime watchdog.
-    if (recorder_ != nullptr && current_group_ >= 0) {
-        analyze::report findings;
-        analyze::lint_pipe_group(recorder_->group_nodes(current_group_),
-                                 findings);
-        for (const analyze::finding& f : findings.findings())
-            recorder_->add_finding(f);
-        if (recorder_->enforcement() == analyze::level::error &&
-            findings.count_at_least(analyze::severity::error) > 0) {
-            std::string msg = "sanitize: refusing to launch dataflow group:";
-            for (const analyze::finding& f : findings.findings())
-                msg += " [" + f.rule + "] " + f.message + ";";
+    // is refused here -- the static complement of the runtime watchdog.
+    if (recorder_ != nullptr) {
+        const std::string refusal = recorder_->gate_dataflow(timeline_);
+        if (!refusal.empty()) {
             abort_dataflow();  // nothing launched yet: drop the group
-            record_error_span("sanitize: pipe topology");
-            throw analyze::sanitize_error(msg);
+            emit({.what = kind::group_end});
+            record_error("sanitize: pipe topology");
+            throw analyze::sanitize_error(refusal);
         }
     }
-    const int joined_group = current_group_;
-    current_group_ = -1;
 
     launch_dataflow_workers();
     for (auto& t : pending_threads_) t.join();
     pending_threads_.clear();
-    // The join above is a real synchronization point: close the group's
-    // happens-before edges (members -> queue -> host) in the shadow store.
-    if (recorder_ != nullptr && joined_group >= 0)
-        recorder_->end_group(joined_group, queue_id_);
     if (!dataflow_failures_.empty()) {
+        // The join above is a real synchronization point: the group_end
+        // closes its happens-before edges (members -> queue -> host).
+        emit({.what = kind::group_end});
         std::vector<detail::command_failure> failed =
             std::move(dataflow_failures_);
         dataflow_failures_.clear();
@@ -517,7 +454,7 @@ std::vector<event> queue::end_dataflow() {
         exception_list list;
         for (detail::command_failure& f : failed)
             list.push_back(std::move(f.error));
-        record_error_span("dataflow error");
+        record_error("dataflow error");
         deliver(std::move(list));
         return {};  // handler consumed the errors; the group produced no work
     }
@@ -549,24 +486,12 @@ std::vector<event> queue::end_dataflow() {
     sim_now_ns_ = group_end +
                   launch * std::max<double>(0.0,
                                             static_cast<double>(durations.size()) - 1.0);
-    if (trace_ != nullptr && !durations.empty()) {
-        // The group's wall-clock envelope sits on the main lane; each member
-        // kernel gets its own lane so exporters show the overlap (Fig. 3).
-        const double b = trace_base_ns_;
-        trace_->record({trace::span_kind::overhead, "launch", b + submit,
-                        b + start});
-        std::string label = "dataflow";
-        for (const auto& s : pending_stats_) label += ":" + s.name;
-        trace_->record({trace::span_kind::dataflow_group, label, b + start,
-                        b + group_end});
-        for (std::size_t i = 0; i < durations.size(); ++i)
-            trace_->record_kernel(pending_stats_[i], b + start,
-                                  b + start + durations[i],
-                                  static_cast<int>(i) + 1);
-        if (durations.size() > 1)
-            trace_->record({trace::span_kind::overhead, "launch drain",
-                            b + group_end, b + sim_now_ns_});
-    }
+    emit({.what = kind::group_end, .t0 = submit, .t1 = start, .start_ns = start,
+          .end_ns = group_end, .members = &pending_stats_,
+          .durations = &durations});
+    if (durations.size() > 1)
+        emit({.what = kind::overhead, .t0 = group_end, .t1 = sim_now_ns_,
+              .label = "launch drain"});
     pending_stats_.clear();
     events_.insert(events_.end(), evs.begin(), evs.end());
     return evs;
@@ -585,8 +510,6 @@ void queue::wait() {
         throw std::logic_error("queue: wait() inside a dataflow group -- call "
                                "end_dataflow() first");
     altis::resilience::checkpoint();
-    if (altis::metrics::collecting())
-        altis::metrics::instruments::queue_waits().add();
     std::size_t graph_pending = 0;
     if (sched_ != nullptr) {
         // The L5 hint keys off how much work this join actually had in
@@ -595,49 +518,35 @@ void queue::wait() {
         join_graph();
     }
     const double sync = perf::sync_overhead_ns(rt_, dev_);
-    if (trace_ != nullptr)
-        trace_->record({trace::span_kind::sync, "wait",
-                        trace_base_ns_ + sim_now_ns_,
-                        trace_base_ns_ + sim_now_ns_ + sync});
+    emit({.what = kind::wait, .graph = sched_ != nullptr, .t0 = sim_now_ns_,
+          .t1 = sim_now_ns_ + sync, .label = "wait", .pending = graph_pending});
     sim_now_ns_ += sync;
     non_kernel_ns_ += sync;
     epoch_start_ns_ = sim_now_ns_;
-    if (recorder_ != nullptr) {
-        if (sched_ != nullptr)
-            recorder_->record_graph_wait_node(queue_id_, graph_pending);
-        else
-            recorder_->record_wait(queue_id_);
-    }
     throw_asynchronous();
 }
 
 void queue::annotate_overhead_ns(double ns) {
-    if (trace_ != nullptr)
-        trace_->record({trace::span_kind::overhead, "overhead",
-                        trace_base_ns_ + sim_now_ns_,
-                        trace_base_ns_ + sim_now_ns_ + ns});
+    emit({.what = kind::overhead, .t0 = sim_now_ns_, .t1 = sim_now_ns_ + ns,
+          .label = "overhead"});
     events_.emplace_back(sim_now_ns_, sim_now_ns_, sim_now_ns_ + ns);
     sim_now_ns_ += ns;
     non_kernel_ns_ += ns;
 }
 
-void queue::annotate_transfer(double bytes) {
+void queue::charge_transfer(double bytes, const void* base, bool to_device) {
     try {
         fault::maybe_inject(fault::op_kind::transfer, "transfer",
                             std::to_string(static_cast<long long>(bytes)) +
                                 " bytes");
     } catch (const std::exception& e) {
-        record_error_span(std::string("error: ") + e.what());
+        record_error(std::string("error: ") + e.what());
         throw;
     }
     const double t = perf::transfer_ns(rt_, dev_, bytes);
-    if (trace_ != nullptr) {
-        trace::span s{trace::span_kind::transfer, "transfer",
-                      trace_base_ns_ + sim_now_ns_,
-                      trace_base_ns_ + sim_now_ns_ + t};
-        s.counters.bytes = bytes;
-        trace_->record(std::move(s));
-    }
+    emit({.what = kind::transfer, .t0 = sim_now_ns_, .t1 = sim_now_ns_ + t,
+          .label = "transfer", .base = base, .bytes = bytes,
+          .to_device = to_device});
     events_.emplace_back(sim_now_ns_, sim_now_ns_, sim_now_ns_ + t);
     sim_now_ns_ += t;
     non_kernel_ns_ += t;
@@ -647,7 +556,7 @@ void queue::reset_timers() {
     // An OOO queue joins first: in-flight nodes still charge the epoch being
     // discarded, never the fresh timers (their errors stay queued).
     join_graph();
-    if (trace_ != nullptr) trace_base_ns_ = trace_->last_end_ns();
+    emit({.what = kind::reset});
     sim_now_ns_ = 0.0;
     kernel_ns_ = 0.0;
     non_kernel_ns_ = 0.0;
@@ -658,10 +567,7 @@ void queue::reset_timers() {
 
 void queue::charge_setup() {
     const double t = perf::setup_overhead_ns(rt_, dev_);
-    if (trace_ != nullptr)
-        trace_->record({trace::span_kind::setup, "setup",
-                        trace_base_ns_ + sim_now_ns_,
-                        trace_base_ns_ + sim_now_ns_ + t});
+    emit({.what = kind::setup, .t0 = sim_now_ns_, .t1 = sim_now_ns_ + t});
     sim_now_ns_ += t;
     non_kernel_ns_ += t;
 }

@@ -18,6 +18,14 @@
 // point / in-flight gauge / shadow actor / retire sequence, and the two
 // deferred joins share one failure merge (merge_failures).
 //
+// Observers (DESIGN.md Sec. 4): the queue snapshots the command-stream
+// subscriber set at construction (core/command_stream.hpp) and reports each
+// command to it exactly once -- trace spans, sanitizer nodes and queue
+// metrics are all built by the subscribers from the same events. The only
+// direct sanitizer calls left are the ones that hand out identity or change
+// what runs: opening a command group (and retiring it), the shadow-actor
+// binding around execution, and the pre-launch pipe gate.
+//
 // Error model (SYCL-conformant, see sycl/error.hpp): a queue may carry an
 // async_handler. Errors raised by kernel execution -- including injected
 // faults from an active altis::fault plan -- are then collected and
@@ -49,12 +57,12 @@
 #include "sycl/error.hpp"
 #include "sycl/event.hpp"
 #include "sycl/graph.hpp"
+#include "core/command_stream.hpp"
 #include "sycl/handler.hpp"
-#include "trace/session.hpp"
 
 namespace syclite {
 
-namespace trace = altis::trace;
+namespace stream = altis::stream;
 
 /// Execution-ordering property fixed at queue construction.
 enum class queue_property {
@@ -143,7 +151,7 @@ public:
     }
     /// Timing-only transfer annotation (no functional copy); also the
     /// injection point for `transfer` faults.
-    void annotate_transfer(double bytes);
+    void annotate_transfer(double bytes) { charge_transfer(bytes); }
 
     /// Charge arbitrary non-kernel time (library temp allocations, etc.).
     void annotate_overhead_ns(double ns);
@@ -164,13 +172,6 @@ public:
 
     [[nodiscard]] const std::vector<event>& events() const { return events_; }
 
-    /// Tracing. The constructor adopts trace::session::current(), so a
-    /// session activated around queue construction observes every command;
-    /// set_trace() overrides (nullptr detaches). Spans land on the simulated
-    /// clock as commands complete.
-    void set_trace(trace::session* s) { trace_ = s; }
-    [[nodiscard]] trace::session* trace() const { return trace_; }
-
     /// Replaces the thread pool the graph scheduler dispatches ready nodes
     /// onto (default: thread_pool::global()). Benchmarks hand in a dedicated
     /// multi-worker pool to measure overlap on single-core hosts. The pool
@@ -179,12 +180,6 @@ public:
     void set_graph_pool(thread_pool* pool) {
         if (sched_ != nullptr) sched_->set_pool(pool);
     }
-
-    /// Sanitizing. The constructor adopts analyze::recorder::current() the
-    /// same way, so `--sanitize` captures every submission's command graph
-    /// with no app changes; set_recorder() overrides (nullptr detaches).
-    void set_recorder(analyze::recorder* r);
-    [[nodiscard]] analyze::recorder* recorder() const { return recorder_; }
 
 private:
     /// One dataflow kernel accepted but not yet started: under a dataflow
@@ -216,9 +211,8 @@ private:
         } else {
             if (sched_ != nullptr) join_graph();
         }
-        annotate_transfer(static_cast<double>(bytes));
-        if (recorder_ != nullptr)
-            record_transfer_node(to_device, to_device ? dst : src, bytes);
+        charge_transfer(static_cast<double>(bytes), to_device ? dst : src,
+                        to_device);
         if constexpr (std::is_trivially_copyable_v<T>)
             altis::mem::copy_bytes(dst, src, bytes);
         else
@@ -237,9 +231,18 @@ private:
     /// else at their own estimate.
     [[nodiscard]] double kernel_duration(const perf::kernel_stats& stats,
                                          double fmax_mhz = 0.0) const;
-    /// The recorder's command-graph node for a kernel submission; moves the
-    /// handler's declared accesses and pipe endpoints into it.
-    [[nodiscard]] analyze::node kernel_node(handler& h) const;
+    /// The submit event of a kernel: the handler's declared accesses and
+    /// pipe endpoints go to the sanitizer with it.
+    [[nodiscard]] stream::event submit_event(handler& h);
+    /// Reports `e` on this queue's timeline to the snapshotted observers.
+    void emit(stream::event e) const {
+        e.timeline = timeline_;
+        obs_.emit(e);
+    }
+    /// The PCIe charge of a copy; `base` is its device side (null for a
+    /// timing-only annotation).
+    void charge_transfer(double bytes, const void* base = nullptr,
+                         bool to_device = false);
     /// Async copy as a graph node. The buffer side (`dst_ptr` when
     /// `to_device`, else `src_ptr`) is the conflict identity kernels declare.
     event submit_transfer_graph(bool to_device, void* dst_ptr,
@@ -264,20 +267,13 @@ private:
     /// handler, so finish_submit can donate the name it no longer needs).
     event record(const perf::kernel_stats& stats, double duration_ns,
                  std::string* name = nullptr);
-    void record_error_span(const std::string& label);
-    void record_transfer_node(bool to_device, const void* base,
-                              std::size_t bytes);
+    /// A failed operation at the current simulated time.
+    void record_error(const std::string& label);
     void deliver(exception_list errors);
     void launch_dataflow_workers();
 
     const perf::device_spec& dev_;
     perf::runtime_kind rt_;
-    trace::session* trace_ = nullptr;
-    /// Session-timeline offset for emitted spans: each queue's simulated
-    /// clock starts at 0, but a session may outlive many queues (altis_run
-    /// over several apps), so spans are shifted to append after whatever the
-    /// session already holds. Queue-local timers/events are unaffected.
-    double trace_base_ns_ = 0.0;
     double design_fmax_mhz_ = 0.0;  ///< 0: estimate per kernel
 
     double sim_now_ns_ = 0.0;
@@ -296,9 +292,12 @@ private:
     std::vector<detail::command_failure> dataflow_failures_;
     std::mutex dataflow_failures_mutex_;
 
+    /// Observers snapshotted at construction and this queue's timeline id
+    /// on the stream (-1: unobserved).
+    stream::observers obs_;
+    int timeline_ = -1;
+    /// The sanitizer behind the direct hooks (null: not sanitizing).
     analyze::recorder* recorder_ = nullptr;
-    int queue_id_ = -1;       ///< recorder-assigned ordinal
-    int current_group_ = -1;  ///< open dataflow group id (recorder active)
 
     /// Non-null iff constructed queue_property::out_of_order.
     std::unique_ptr<graph::scheduler> sched_;

@@ -9,11 +9,9 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "analyze/recorder.hpp"
+#include "core/command_stream.hpp"
 #include "fault/inject.hpp"
 #include "mem/pool.hpp"
-#include "metrics/alloc_ledger.hpp"
-#include "metrics/instruments.hpp"
 #include "sycl/queue.hpp"
 
 namespace syclite {
@@ -43,23 +41,16 @@ template <typename T>
     // still yields a unique, freeable pointer (smallest size class), so the
     // alloc/free pairing stays observable to the ledger and the sanitizer.
     T* p = static_cast<T*>(altis::mem::allocate(count * sizeof(T)));
-    // The sanitizer's USM liveness tracking (ALS-H4) pairs this with
-    // usm_free and the ranges kernels declare via handler::uses_usm. The
-    // generation tag keeps a recycled address from aliasing two logical
-    // allocations onto one fingerprint.
-    if (auto* rec = altis::analyze::recorder::current())
-        rec->record_usm_alloc(p, count * sizeof(T),
-                              altis::mem::generation_of(p));
-    if (altis::metrics::collecting()) {
-        namespace mi = altis::metrics::instruments;
-        const std::uint64_t bytes = count * sizeof(T);
-        altis::metrics::alloc_ledger::instance().on_alloc(p, bytes);
-        mi::usm_allocs().add();
-        mi::usm_live_bytes().add(static_cast<std::int64_t>(bytes));
-        const std::int64_t live = mi::usm_live_bytes().value();
-        if (live > 0)
-            mi::usm_peak_bytes().record(static_cast<std::uint64_t>(live));
-    }
+    // One usm_alloc event: the sanitizer's USM liveness tracking (ALS-H4)
+    // pairs it with usm_free and the ranges kernels declare via
+    // handler::uses_usm; metrics meters the live bytes. The generation tag
+    // keeps a recycled address from aliasing two logical allocations onto
+    // one fingerprint.
+    if (altis::stream::wanted(altis::stream::kind::usm_alloc))
+        altis::stream::emit({.what = altis::stream::kind::usm_alloc,
+                             .base = p,
+                             .bytes = static_cast<double>(count * sizeof(T)),
+                             .generation = altis::mem::generation_of(p)});
     return p;
 }
 
@@ -77,21 +68,10 @@ template <typename T>
 }
 
 inline void usm_free(void* ptr, const queue& /*q*/) {
-    if (ptr != nullptr) {
-        if (auto* rec = altis::analyze::recorder::current())
-            rec->record_usm_free(ptr, altis::mem::generation_of(ptr));
-        if (altis::metrics::collecting()) {
-            namespace mi = altis::metrics::instruments;
-            mi::usm_frees().add();
-            // The ledger only knows allocations metered by the *current*
-            // session, so a buffer allocated before the session started
-            // frees as 0 bytes instead of driving the gauge negative.
-            const std::uint64_t bytes =
-                altis::metrics::alloc_ledger::instance().on_free(ptr);
-            if (bytes > 0)
-                mi::usm_live_bytes().sub(static_cast<std::int64_t>(bytes));
-        }
-    }
+    if (ptr != nullptr && altis::stream::wanted(altis::stream::kind::usm_free))
+        altis::stream::emit({.what = altis::stream::kind::usm_free,
+                             .base = ptr,
+                             .generation = altis::mem::generation_of(ptr)});
     // Routed by the block header to whichever path allocated it (pool size
     // class, large reuse cache, or the system fallback backend); debug
     // builds assert on mismatched or double frees.

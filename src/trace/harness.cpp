@@ -6,15 +6,16 @@
 
 namespace altis::trace {
 
-cli_harness::cli_harness(std::string name) : session_(std::move(name)) {
+cli_harness::cli_harness(std::string name) : session_(std::move(name)) {}
+
+int cli_harness::parse(int argc, char** argv) {
+    // Registered here rather than at construction, so the binary's own
+    // options (added through parser()) lead the --help listing.
     add_trace_options(opts_);
     fault::add_fault_options(opts_);
     analyze::add_sanitize_options(opts_);
     metrics::add_metrics_options(opts_);
     resilience::add_resilience_options(opts_);
-}
-
-int cli_harness::parse(int argc, char** argv) {
     try {
         if (!opts_.parse(argc, argv, std::cout)) return 0;  // --help
         aopts_ = analyze::options::from(opts_);
@@ -59,45 +60,25 @@ int cli_harness::finish() {
     int sanitize_rc = 0;
     if (recorder_) {
         sanitize_scope_.reset();
-        // Findings land on the trace (when one is active) as zero-length
-        // failed spans at the end of the timeline, so exported timelines
-        // show what the sanitizer objected to.
-        analyze::span_sink sink;
-        if (topts_.enabled()) {
-            sink = [this](const analyze::finding& f) {
-                const double t = session_.last_end_ns();
-                span s;
-                s.name = "sanitize " + f.rule + ": " + f.message;
-                s.start_ns = t;
-                s.end_ns = t;
-                s.status = span_status::failed;
-                session_.record(std::move(s));
-            };
-        }
-        sanitize_rc =
-            analyze::finish(*recorder_, aopts_, std::cout, std::cerr, sink);
+        // Findings reach the trace (when one is current) over the command
+        // stream, as zero-length failed spans at the end of the timeline.
+        sanitize_rc = analyze::finish(*recorder_, aopts_, std::cout, std::cerr);
+        if (sanitize_rc == 2) return 2;
     }
     // Stop metrics before the trace export so the finished sampled series
     // can merge into the Perfetto file as counter tracks.
     if (msession_) msession_->stop();
-    int trace_rc = 0;
     if (topts_.enabled()) {
         scope_.reset();
-        trace_rc = finish_session(session_, topts_, session_.last_end_ns(),
-                                  std::cout, std::cerr,
-                                  msession_ ? &*msession_ : nullptr)
-                       ? 0
-                       : 2;
+        if (!finish_session(session_, topts_, session_.last_end_ns(),
+                            std::cout, std::cerr,
+                            msession_ ? &*msession_ : nullptr))
+            return 2;
     }
-    int metrics_rc = 0;
-    if (msession_)
-        metrics_rc = metrics::finish_metrics(*msession_, mopts_, std::cout,
-                                             std::cerr)
-                         ? 0
-                         : 2;
-    if (sanitize_rc != 0) return sanitize_rc;
-    if (trace_rc != 0) return trace_rc;
-    return metrics_rc;
+    if (msession_ &&
+        !metrics::finish_metrics(*msession_, mopts_, std::cout, std::cerr))
+        return 2;
+    return sanitize_rc;
 }
 
 }  // namespace altis::trace

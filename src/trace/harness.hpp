@@ -1,6 +1,7 @@
-// One-stop CLI harness for binaries whose only options are the trace ones
-// (the bench fig*/table* regenerators): owns the OptionParser, the session
-// and its activation, so a bench main() is three lines of wiring:
+// One-stop CLI harness for the observer options every binary shares
+// (trace, fault, sanitize, metrics, resilience): owns the OptionParser, the
+// observers and their activation, so a bench main() is three lines of
+// wiring (altis_run adds its own options through parser() first):
 //
 //   altis::trace::cli_harness h("fig3_kmeans_pipes");
 //   if (int rc = h.parse(argc, argv); rc >= 0) return rc;
@@ -29,15 +30,18 @@ class cli_harness {
 public:
     explicit cli_harness(std::string name);
 
-    /// Parses argv (handling --help and unknown options). Returns a process
-    /// exit code when main should return immediately, -1 to continue. When
-    /// tracing is requested, the session becomes current here.
+    /// Registers the shared options after any the binary added through
+    /// parser(), then parses argv (handling --help and unknown options).
+    /// Returns a process exit code when main should return immediately, -1
+    /// to continue. When tracing is requested, the session becomes current
+    /// here.
     [[nodiscard]] int parse(int argc, char** argv);
 
     /// Runs the sanitizer (when --sanitize was given) and exports
-    /// trace/profile artifacts if requested. Returns the process exit code
-    /// (0; 1 when --sanitize=error found problems; 2 when an artifact could
-    /// not be written).
+    /// trace/profile/metrics artifacts if requested. Returns the process
+    /// exit code: 2 when an artifact could not be written (a sanitizer
+    /// output failing stops before the other exports), else 1 when
+    /// --sanitize=error found problems, else 0.
     [[nodiscard]] int finish();
 
     [[nodiscard]] OptionParser& parser() { return opts_; }

@@ -1,24 +1,27 @@
-// Trace session: the collector the syclite queue and the region simulator
-// emit spans into. A session is passive storage plus a little bookkeeping
-// (region stack, device binding for peak-based classification); exporters
+// Trace session: the command-stream subscriber (core/command_stream.hpp)
+// that turns runtime events into spans on the simulated timeline. A session
+// is passive storage plus a little bookkeeping (region stack, device binding
+// for peak-based classification, each timeline's offset); exporters
 // (chrome_export.hpp, profile.hpp) turn a finished session into artifacts.
 //
 // Wiring: a session becomes the process-wide "current" session via
-// session::scope (RAII) or set_current(); syclite::queue picks up the
-// current session at construction, so applications need no code changes to
+// session::scope (RAII) or set_current(); syclite::queue snapshots the
+// subscriber set at construction, so applications need no code changes to
 // become traceable -- `altis_run --trace out.json` just works.
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "core/command_stream.hpp"
 #include "perf/device.hpp"
 #include "perf/kernel_stats.hpp"
 #include "trace/span.hpp"
 
 namespace altis::trace {
 
-class session {
+class session : public stream::subscriber {
 public:
     explicit session(std::string name = "altis");
 
@@ -36,7 +39,7 @@ public:
     void record_kernel(const perf::kernel_stats& k, double start_ns,
                        double end_ns, int track = 0,
                        double invocations = 1.0, std::uint64_t cmd = 0,
-                       std::vector<std::uint64_t> deps = {});
+                       const std::vector<std::uint64_t>* deps = nullptr);
 
     /// Top-level region bracketing. Regions may nest; each end_region pops
     /// the innermost open region and records its span.
@@ -59,6 +62,11 @@ public:
     /// Latest end timestamp across recorded spans (0 when empty); appended
     /// timelines (e.g. successive region simulations) start here.
     [[nodiscard]] double last_end_ns() const;
+
+    /// One command event -> spans. Every timeline (queue or simulated
+    /// region) is shifted to start after whatever the session held when the
+    /// timeline opened, so one session can hold many queues' runs.
+    void on_event(const stream::event& e) override;
 
     // ---- process-wide current session ----
     [[nodiscard]] static session* current();
@@ -87,6 +95,8 @@ private:
     const perf::device_spec* dev_ = nullptr;
     std::vector<span> spans_;
     std::vector<open_region> region_stack_;
+    /// Session-time offset of each open timeline.
+    std::unordered_map<int, double> base_;
 };
 
 }  // namespace altis::trace

@@ -227,8 +227,8 @@ TEST(RegionTrace, SimulatedRegionEmitsBalancedSpans) {
     const auto region =
         apps::kmeans::region(Variant::fpga_opt, dev, 1);
     session s("t");
-    const auto est =
-        apps::simulate_region(region, dev, perf::runtime_kind::sycl, &s);
+    session::scope scope(s);
+    const auto est = apps::simulate_region(region, dev, perf::runtime_kind::sycl);
 
     ASSERT_FALSE(s.empty());
     const span& reg = s.spans().back();
@@ -251,14 +251,15 @@ TEST(RegionTrace, SuccessiveSimulationsAppend) {
     const auto& dev = perf::device_by_name("rtx_2080");
     const auto region = apps::kmeans::region(Variant::sycl_opt, dev, 1);
     session s("t");
-    (void)apps::simulate_region(region, dev, perf::runtime_kind::sycl, &s);
+    session::scope scope(s);
+    (void)apps::simulate_region(region, dev, perf::runtime_kind::sycl);
     const double first_end = s.last_end_ns();
-    (void)apps::simulate_region(region, dev, perf::runtime_kind::sycl, &s);
+    (void)apps::simulate_region(region, dev, perf::runtime_kind::sycl);
     const span& second_region = s.spans().back();
     EXPECT_NEAR(second_region.start_ns, first_end, 1e-9);
 }
 
-TEST(RegionTrace, DefaultOverloadUsesCurrentSession) {
+TEST(RegionTrace, OnlyTheCurrentSessionCollects) {
     const auto& dev = perf::device_by_name("rtx_2080");
     const auto region = apps::kmeans::region(Variant::sycl_opt, dev, 1);
     session s("t");
