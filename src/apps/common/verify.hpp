@@ -16,6 +16,14 @@
 
 namespace altis::apps {
 
+/// Folds one error term into a running worst, like std::max(worst, err) --
+/// except that a NaN on either side wins. std::max(worst, NaN) returns
+/// `worst` and would drop the NaN; this keeps it, so require_close rejects
+/// it. For finite terms the result is exactly std::max's.
+[[nodiscard]] inline double worst_error(double worst, double err) {
+    return std::isnan(err) || err > worst ? err : worst;
+}
+
 /// Maximum elementwise relative error (absolute fallback near zero). A NaN
 /// on either side makes the result NaN, which require_close rejects.
 template <typename T>
@@ -28,10 +36,7 @@ template <typename T>
         const double e = static_cast<double>(expected[i]);
         const double a = static_cast<double>(actual[i]);
         const double denom = std::max(std::abs(e), 1.0);
-        const double err = std::abs(a - e) / denom;
-        // std::max(worst, NaN) would return worst and drop the NaN.
-        if (std::isnan(err)) return err;
-        worst = std::max(worst, err);
+        worst = worst_error(worst, std::abs(a - e) / denom);
     }
     return worst;
 }

@@ -97,6 +97,18 @@ std::vector<force> golden(const params& p, std::span<const particle> particles) 
     return out;
 }
 
+double force_error(std::span<const force> expected,
+                   std::span<const force> got) {
+    double worst = 0.0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        worst = worst_error(
+            worst, static_cast<double>(std::abs(got[i].fx - expected[i].fx)));
+        worst = worst_error(worst, static_cast<double>(std::abs(
+                                       got[i].energy - expected[i].energy)));
+    }
+    return worst;
+}
+
 namespace detail {
 
 perf::kernel_stats stats_boxes(const params& p, Variant v,
@@ -170,13 +182,7 @@ AppResult run(const RunConfig& cfg) {
 
     std::vector<force> got(p.particles());
     q.copy_from_device(forces, got.data());
-    double worst = 0.0;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        worst = std::max(
-            worst, static_cast<double>(std::abs(got[i].fx - expected[i].fx)));
-        worst = std::max(worst, static_cast<double>(std::abs(
-                                    got[i].energy - expected[i].energy)));
-    }
+    const double worst = force_error(expected, got);
     require_close(worst, 1e-4, "lavamd");
 
     AppResult r;

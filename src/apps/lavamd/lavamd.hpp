@@ -6,6 +6,7 @@
 // timing violations), retuned to 16x on Agilex (Sec. 5.5).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "apps/common/app.hpp"
@@ -39,6 +40,11 @@ struct force {
 /// Host reference: forces on every particle (box-major order).
 [[nodiscard]] std::vector<force> golden(const params& p,
                                         std::span<const particle> particles);
+
+/// Verification error of a device result: the worst absolute difference in
+/// fx and energy. Any NaN makes it NaN.
+[[nodiscard]] double force_error(std::span<const force> expected,
+                                 std::span<const force> got);
 
 AppResult run(const RunConfig& cfg);
 

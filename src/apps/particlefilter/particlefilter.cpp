@@ -219,6 +219,17 @@ estimate golden(const params& p, flavor f,
     return e;
 }
 
+double estimate_error(const estimate& expected, const estimate& got) {
+    double err = 0.0;
+    for (std::size_t t = 0; t < expected.xe.size(); ++t) {
+        err = worst_error(
+            err, static_cast<double>(std::abs(got.xe[t] - expected.xe[t])));
+        err = worst_error(
+            err, static_cast<double>(std::abs(got.ye[t] - expected.ye[t])));
+    }
+    return err;
+}
+
 namespace detail {
 
 perf::kernel_stats stats_propagate(const params& p, flavor f, Variant v,
@@ -306,15 +317,7 @@ AppResult run_flavor(const RunConfig& cfg, flavor f) {
     }
     q.wait();
 
-    double err = 0.0;
-    for (int t = 0; t < p.frames; ++t) {
-        err = std::max(err, static_cast<double>(std::abs(
-                                got.xe[static_cast<std::size_t>(t)] -
-                                expected.xe[static_cast<std::size_t>(t)])));
-        err = std::max(err, static_cast<double>(std::abs(
-                                got.ye[static_cast<std::size_t>(t)] -
-                                expected.ye[static_cast<std::size_t>(t)])));
-    }
+    const double err = estimate_error(expected, got);
     require_close(err, 1e-3, "particlefilter estimates");
 
     AppResult r;

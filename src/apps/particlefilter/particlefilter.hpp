@@ -37,6 +37,11 @@ struct estimate {
     std::vector<float> xe, ye;  ///< per-frame position estimates
 };
 
+/// Verification error of a device estimate: the worst absolute per-frame
+/// difference in xe and ye. Any NaN makes it NaN.
+[[nodiscard]] double estimate_error(const estimate& expected,
+                                    const estimate& got);
+
 /// Synthetic video: a bright disk moving diagonally over speckle noise.
 [[nodiscard]] std::vector<std::uint8_t> make_video(const params& p);
 

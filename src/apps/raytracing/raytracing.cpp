@@ -305,6 +305,17 @@ trace_profile probe_profile(const params& p) {
     return out;
 }
 
+double image_error(std::span<const vec3> expected,
+                   std::span<const vec3> got) {
+    double err = 0.0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        err = worst_error(err, std::abs(static_cast<double>(got[i].x - expected[i].x)));
+        err = worst_error(err, std::abs(static_cast<double>(got[i].y - expected[i].y)));
+        err = worst_error(err, std::abs(static_cast<double>(got[i].z - expected[i].z)));
+    }
+    return err;
+}
+
 namespace detail {
 
 perf::kernel_stats stats_render(const params& p, Variant v,
@@ -349,12 +360,7 @@ AppResult run(const RunConfig& cfg) {
 
     std::vector<vec3> got(p.pixels());
     q.copy_from_device(image, got.data());
-    double err = 0.0;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        err = std::max({err, std::abs(static_cast<double>(got[i].x - expected[i].x)),
-                        std::abs(static_cast<double>(got[i].y - expected[i].y)),
-                        std::abs(static_cast<double>(got[i].z - expected[i].z))});
-    }
+    const double err = image_error(expected, got);
     require_close(err, 1e-6, "raytracing image");
 
     AppResult r;

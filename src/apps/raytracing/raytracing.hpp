@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "apps/common/app.hpp"
@@ -74,6 +75,11 @@ struct trace_profile {
     double tests_per_ray = 0.0;
 };
 [[nodiscard]] trace_profile probe_profile(const params& p);
+
+/// Verification error of a rendered image: the worst absolute per-channel
+/// difference. Any NaN makes it NaN.
+[[nodiscard]] double image_error(std::span<const vec3> expected,
+                                 std::span<const vec3> got);
 
 AppResult run(const RunConfig& cfg);
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "apps/common/verify.hpp"
 #include "perf/resource_model.hpp"
 
 namespace altis::apps::lavamd {
@@ -108,6 +110,17 @@ TEST(Lavamd, RunMatchesRegionSimulation) {
     const auto est = simulate_region(region(cfg.variant, dev, cfg.size), dev,
                                      perf::runtime_kind::sycl);
     EXPECT_NEAR(r.kernel_ms, est.kernel_ms(), r.kernel_ms * 0.02);
+}
+
+TEST(Lavamd, NanDeviceForceFailsVerification) {
+    // std::max(worst, NaN) keeps `worst`: a NaN force must not pass.
+    const std::vector<force> expected(4, force{1.0f, 2.0f, 3.0f, 4.0f});
+    std::vector<force> got = expected;
+    got[1].fx = std::numeric_limits<float>::quiet_NaN();
+    got[3].energy += 1e-6f;  // a later finite error must not mask it
+    EXPECT_TRUE(std::isnan(force_error(expected, got)));
+    EXPECT_THROW(require_close(force_error(expected, got), 1e-4, "lavamd"),
+                 verification_error);
 }
 
 }  // namespace

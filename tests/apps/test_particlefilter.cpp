@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "apps/common/verify.hpp"
 #include "perf/resource_model.hpp"
 
 namespace altis::apps::particlefilter {
@@ -122,6 +124,18 @@ TEST(ParticleFilter, RunMatchesRegionSimulation) {
         simulate_region(region(flavor::naive, cfg.variant, dev, cfg.size), dev,
                         perf::runtime_kind::sycl);
     EXPECT_NEAR(r.kernel_ms, est.kernel_ms(), r.kernel_ms * 0.02);
+}
+
+TEST(ParticleFilter, NanDeviceEstimateFailsVerification) {
+    // std::max(err, NaN) keeps `err`: a NaN estimate must not pass.
+    const estimate expected{{1.0f, 2.0f, 3.0f}, {4.0f, 5.0f, 6.0f}};
+    estimate got = expected;
+    got.ye[0] = std::numeric_limits<float>::quiet_NaN();
+    got.xe[2] += 1e-4f;  // a later finite error must not mask it
+    EXPECT_TRUE(std::isnan(estimate_error(expected, got)));
+    EXPECT_THROW(require_close(estimate_error(expected, got), 1e-3,
+                               "particlefilter estimates"),
+                 verification_error);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+
+#include "apps/common/verify.hpp"
 
 namespace altis::apps::raytracing {
 namespace {
@@ -135,6 +138,18 @@ TEST(Raytracing, RunMatchesRegionSimulation) {
     const auto est = simulate_region(region(cfg.variant, dev, cfg.size), dev,
                                      perf::runtime_kind::sycl);
     EXPECT_NEAR(r.kernel_ms, est.kernel_ms(), r.kernel_ms * 0.02);
+}
+
+TEST(Raytracing, NanDevicePixelFailsVerification) {
+    // std::max({err, ...}) keeps `err`: a NaN channel must not pass.
+    const std::vector<vec3> expected(4, vec3{0.5f, 0.25f, 0.125f});
+    std::vector<vec3> got = expected;
+    got[0].y = std::numeric_limits<float>::quiet_NaN();
+    got[2].z += 1e-7f;  // a later finite error must not mask it
+    EXPECT_TRUE(std::isnan(image_error(expected, got)));
+    EXPECT_THROW(require_close(image_error(expected, got), 1e-6,
+                               "raytracing image"),
+                 verification_error);
 }
 
 }  // namespace

@@ -82,6 +82,14 @@ TEST(Verify, NanIsNotMaskedByLaterFiniteErrors) {
     EXPECT_TRUE(std::isnan(max_rel_error<float>(e, a)));
 }
 
+TEST(Verify, WorstErrorIsMaxForFiniteAndKeepsNan) {
+    EXPECT_EQ(worst_error(0.5, 0.25), std::max(0.5, 0.25));
+    EXPECT_EQ(worst_error(0.25, 0.5), std::max(0.25, 0.5));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(std::isnan(worst_error(0.5, nan)));
+    EXPECT_TRUE(std::isnan(worst_error(nan, 0.5)));
+}
+
 TEST(ReferenceOnce, ComputesOnceAcrossPassesOfOneScope) {
     int calls = 0;
     const auto compute = [&] {
