@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 
@@ -421,13 +420,8 @@ magazine& tl_magazine() {
     return mag;
 }
 
-[[nodiscard]] int backend_from_env() {
-    const char* v = std::getenv("ALTIS_MEM_POOL");
-    return (v != nullptr && v[0] == '0' && v[1] == '\0') ? 1 : 0;
-}
-
 std::atomic<int>& backend_flag() {
-    static std::atomic<int> b{backend_from_env()};
+    static std::atomic<int> b{0};
     return b;
 }
 

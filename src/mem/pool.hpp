@@ -32,7 +32,6 @@ namespace altis::mem {
 /// Allocation backend. `pooled` is the default; `system` routes every
 /// request straight to ::operator new (the pre-pool behavior) -- kept so
 /// benchmarks and tests can A/B the pool against the path it replaced.
-/// $ALTIS_MEM_POOL=0 selects `system` at process start.
 enum class backend { pooled, system };
 
 void set_backend(backend b);

@@ -1,7 +1,6 @@
 #include "mem/transfer.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -22,16 +21,6 @@ std::atomic<int> g_inflight{0};  // NOLINT(cppcoreguidelines-avoid-non-const-glo
 /// against the memcpy, small enough that a 64 MiB copy still spreads across
 /// every worker.
 constexpr std::size_t kChunkBytes = std::size_t{2} * 1024 * 1024;
-
-[[nodiscard]] std::size_t threshold_from_env() {
-    const char* v = std::getenv("ALTIS_MEM_PCOPY_MIN");
-    if (v != nullptr) {
-        char* end = nullptr;
-        const unsigned long long n = std::strtoull(v, &end, 10);
-        if (end != v && *end == '\0') return static_cast<std::size_t>(n);
-    }
-    return std::size_t{4} * 1024 * 1024;
-}
 
 struct copy_job {
     char* dst;
@@ -61,11 +50,6 @@ void set_parallel_runner(parallel_runner r) {
 
 parallel_runner parallel_runner_installed() {
     return g_runner.load(std::memory_order_acquire);
-}
-
-std::size_t parallel_copy_threshold() {
-    static const std::size_t threshold = threshold_from_env();
-    return threshold;
 }
 
 void copy_bytes(void* dst, const void* src, std::size_t bytes) {

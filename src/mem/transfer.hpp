@@ -27,9 +27,10 @@ using parallel_runner = void (*)(std::size_t n, void (*fn)(void*, std::size_t),
 void set_parallel_runner(parallel_runner r);
 [[nodiscard]] parallel_runner parallel_runner_installed();
 
-/// Copies below this many bytes stay a single memcpy. Defaults to 4 MiB;
-/// $ALTIS_MEM_PCOPY_MIN (bytes, read once) overrides.
-[[nodiscard]] std::size_t parallel_copy_threshold();
+/// Copies below this many bytes (4 MiB) stay a single memcpy.
+[[nodiscard]] constexpr std::size_t parallel_copy_threshold() {
+    return std::size_t{4} * 1024 * 1024;
+}
 
 /// memcpy with the parallel fast path: chunks of 2 MiB are claimed by pool
 /// workers when `bytes` reaches the threshold and a runner is installed.
