@@ -259,7 +259,7 @@ TEST(RegionTrace, SuccessiveSimulationsAppend) {
     EXPECT_NEAR(second_region.start_ns, first_end, 1e-9);
 }
 
-TEST(RegionTrace, OnlyTheCurrentSessionCollects) {
+TEST(RegionTrace, DefaultOverloadUsesCurrentSession) {
     const auto& dev = perf::device_by_name("rtx_2080");
     const auto region = apps::kmeans::region(Variant::sycl_opt, dev, 1);
     session s("t");
