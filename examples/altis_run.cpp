@@ -12,7 +12,6 @@
 //   ./examples/altis_run all --resume run.jsonl           # continue after kill
 #include <algorithm>
 #include <iostream>
-#include <optional>
 #include <sstream>
 
 #include "apps/common/app.hpp"

@@ -9,7 +9,8 @@
 // behind one gate. Installing an observer (trace::session::scope,
 // analyze::recorder::scope, a live metrics::session) fills its slot; a queue
 // snapshots the set at construction, so an observer installed around queue
-// construction sees every command of that queue. With every slot empty, an
+// construction sees every command of that queue (so a subscriber must
+// outlive the queues that snapshotted it). With every slot empty, an
 // emit site costs one relaxed load (process-wide emitters) or one test of
 // the queue's snapshot.
 //
@@ -129,9 +130,6 @@ class observers {
 public:
     [[nodiscard]] explicit operator bool() const { return mask_ != 0; }
     [[nodiscard]] bool wants(kind k) const { return (mask_ & bit(k)) != 0; }
-    [[nodiscard]] subscriber* at(slot s) const {
-        return subs_[static_cast<std::size_t>(s)];
-    }
     void set(slot s, subscriber* sub) {
         subs_[static_cast<std::size_t>(s)] = sub;
         mask_ = 0;
