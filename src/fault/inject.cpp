@@ -26,22 +26,29 @@ plan* active() { return g_active.load(std::memory_order_acquire); }
 
 void set_active(plan* p) { g_active.store(p, std::memory_order_release); }
 
-void maybe_inject(op_kind kind, std::string_view name,
-                  const std::string& site_detail) {
+std::optional<hit> probe(op_kind kind, std::string_view name) {
     plan* p = active();
-    if (p == nullptr) return;
-    const auto h = p->check(kind, name);
-    if (!h) return;
-    switch (kind) {
-        case op_kind::alloc: throw alloc_fault(*h, site_detail);
-        case op_kind::launch: throw launch_fault(*h, site_detail);
-        case op_kind::transfer: throw transfer_fault(*h, site_detail);
-        case op_kind::device: throw device_fault(*h, site_detail);
+    if (p == nullptr) return std::nullopt;
+    return p->check(kind, name);
+}
+
+void raise(const hit& h, const std::string& site_detail) {
+    switch (h.kind) {
+        case op_kind::alloc: throw alloc_fault(h, site_detail);
+        case op_kind::launch: throw launch_fault(h, site_detail);
+        case op_kind::transfer: throw transfer_fault(h, site_detail);
+        case op_kind::device: throw device_fault(h, site_detail);
         case op_kind::pipe:
             // Stalls are realized by the pipe layer; firing here means a
             // caller probed the wrong entry point.
-            throw injected_fault(*h, site_detail);
+            break;
     }
+    throw injected_fault(h, site_detail);
+}
+
+void maybe_inject(op_kind kind, std::string_view name,
+                  const std::string& site_detail) {
+    if (const auto h = probe(kind, name)) raise(*h, site_detail);
 }
 
 bool should_stall_pipe(std::string_view name) {

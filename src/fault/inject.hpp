@@ -6,6 +6,7 @@
 // pay nothing in normal runs.
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -66,9 +67,17 @@ private:
     plan* prev_;
 };
 
-/// Probes the active plan for (kind, name); throws the kind-specific fault
-/// when a rule fires. `pipe` rules are never thrown here -- the pipe layer
-/// turns them into stalls via should_stall_pipe().
+/// Probes the active plan for (kind, name) without throwing: the hit when a
+/// rule fires. Lets a caller take the firing decision in one place (e.g. on
+/// the submitting thread, in submission order) and raise it in another.
+[[nodiscard]] std::optional<hit> probe(op_kind kind, std::string_view name);
+
+/// Throws the kind-specific fault for `h`.
+[[noreturn]] void raise(const hit& h, const std::string& site_detail = {});
+
+/// probe() then raise(): throws the kind-specific fault when a rule fires.
+/// `pipe` rules are never thrown here -- the pipe layer turns them into
+/// stalls via should_stall_pipe().
 void maybe_inject(op_kind kind, std::string_view name,
                   const std::string& site_detail = {});
 

@@ -305,7 +305,8 @@ inline counter& sched_cancelled_nodes() {
 inline counter& sanitize_shadow_intervals() {
     static counter& c = registry::instance().get_counter(
         "altis_sanitize_shadow_intervals_total",
-        "Observed-access intervals flushed into the sanitize shadow store");
+        "Observed-access intervals flushed into the sanitize shadow store, "
+        "after thread-local coalescing");
     return c;
 }
 

@@ -36,20 +36,27 @@ struct retire_guard {
 
 }  // namespace
 
+std::optional<altis::fault::hit> probe_fault(const std::string& name,
+                                             bool transfer) {
+    namespace fault = altis::fault;
+    return fault::probe(
+        transfer ? fault::op_kind::transfer : fault::op_kind::launch, name);
+}
+
 std::optional<command_failure> run_command(
     const std::string& name, bool transfer,
     small_function<void(thread_pool&)>& exec, thread_pool& pool, int actor,
-    altis::analyze::recorder* rec, std::uint64_t cg) {
-    namespace fault = altis::fault;
+    altis::analyze::recorder* rec, std::uint64_t cg,
+    const std::optional<altis::fault::hit>& hit) {
     const retire_guard retire{rec, cg};
     try {
         // Dispatch-time checkpoint: a deadline that expired while the
         // command waited (deferred group, queued graph node) cancels it
         // before a single byte moves.
         altis::resilience::checkpoint();
-        fault::maybe_inject(
-            transfer ? fault::op_kind::transfer : fault::op_kind::launch, name,
-            transfer ? "transfer failed" : "kernel launch failed");
+        if (hit)
+            altis::fault::raise(*hit, transfer ? "transfer failed"
+                                               : "kernel launch failed");
         // In-flight kernels (transfers are not kernels). The metering
         // decision is taken once, so the gauge balances even if a session
         // starts or stops mid-kernel.

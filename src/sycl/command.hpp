@@ -4,7 +4,8 @@
 // group), or enqueues it as a graph node (out-of-order) -- but whichever
 // thread finally executes it calls run_command(), so every engine passes the
 // same checkpoint, fault point, in-flight gauge, shadow actor and retire
-// sequence, and reports failures in the same classified record.
+// sequence, and reports failures in the same classified record. The fault
+// decision itself is taken at submission (probe_fault), in submission order.
 #pragma once
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <optional>
 #include <string>
 
+#include "fault/spec.hpp"
 #include "sycl/small_function.hpp"
 
 namespace altis::analyze {
@@ -46,15 +48,24 @@ struct command_failure {
     std::string detail;         ///< what() of a std::exception, else empty
 };
 
+/// The submission half of the launch (or, for transfers, transfer) fault
+/// point: probes the active fault plan on the submitting thread, so a rule
+/// such as `launch:*@2` hits the second *submitted* command however the
+/// engine later schedules it. The hit travels with the command and
+/// run_command raises it.
+[[nodiscard]] std::optional<altis::fault::hit> probe_fault(
+    const std::string& name, bool transfer);
+
 /// Executes one command body on the calling thread: resilience checkpoint,
-/// the launch (or, for transfers, transfer) fault point, the in-flight
-/// kernel gauge (kernels only), the shadow actor binding, `exec(pool)`, and
+/// the fault `hit` taken at submission (probe_fault), the in-flight kernel
+/// gauge (kernels only), the shadow actor binding, `exec(pool)`, and
 /// finally the retirement of recorder command group `cg`. Never throws:
 /// whatever the body raised comes back as the failure; nothing when clean.
 [[nodiscard]] std::optional<command_failure> run_command(
     const std::string& name, bool transfer,
     small_function<void(thread_pool&)>& exec, thread_pool& pool, int actor,
-    altis::analyze::recorder* rec, std::uint64_t cg);
+    altis::analyze::recorder* rec, std::uint64_t cg,
+    const std::optional<altis::fault::hit>& hit);
 
 }  // namespace detail
 }  // namespace syclite

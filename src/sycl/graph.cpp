@@ -33,6 +33,7 @@ struct node_rec {
     std::uint64_t cg = 0;
     int actor = -1;
     altis::analyze::recorder* recorder = nullptr;
+    std::optional<altis::fault::hit> fault;  ///< probed at enqueue
     double start_ns = 0.0;
     double end_ns = 0.0;
     std::uint64_t ready_wall_ns = 0;
@@ -187,7 +188,8 @@ void run_one(const std::shared_ptr<scheduler_state>& st, std::uint64_t id) {
     // and the epoch cannot reset under an unsettled node (deque growth keeps
     // element references valid).
     std::optional<detail::command_failure> f = detail::run_command(
-        n->name, n->transfer, exec, *pool, n->actor, n->recorder, n->cg);
+        n->name, n->transfer, exec, *pool, n->actor, n->recorder, n->cg,
+        n->fault);
     if (f && f->cancelled && altis::metrics::collecting())
         altis::metrics::instruments::sched_cancelled_nodes().add();
     settle(st, id, std::move(f));
@@ -268,6 +270,9 @@ scheduler::~scheduler() {
 }
 
 ticket scheduler::enqueue(submission s) {
+    // Probed before the lock, on the submitting thread, in submission order.
+    std::optional<altis::fault::hit> hit =
+        detail::probe_fault(s.name, s.transfer);
     ticket t;
     std::lock_guard lock(state_->mu);
     scheduler_state& st = *state_;
@@ -334,6 +339,7 @@ ticket scheduler::enqueue(submission s) {
     n.cg = s.cg;
     n.actor = s.actor;
     n.recorder = s.recorder;
+    n.fault = std::move(hit);
     n.start_ns = start;
     n.end_ns = end;
     st.nodes.push_back(std::move(n));

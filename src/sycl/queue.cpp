@@ -159,13 +159,15 @@ event queue::finish_submit(handler&& h) {
         pending_stats_.push_back(h.stats());
         pending_work_.push_back({pending_work_.size(), h.cg_.id,
                                  h.stats().name, std::move(h.exec_),
-                                 h.cg_.actor});
+                                 h.cg_.actor,
+                                 detail::probe_fault(h.stats().name, false)});
         return event();  // timestamps assigned at end_dataflow()
     }
 
     if (std::optional<detail::command_failure> f = detail::run_command(
             h.stats().name, /*transfer=*/false, h.exec_, thread_pool::global(),
-            h.cg_.actor, recorder_, h.cg_.id)) {
+            h.cg_.actor, recorder_, h.cg_.id,
+            detail::probe_fault(h.stats().name, false))) {
         record_error(error_label(*f));
         // SYCL semantics: execution errors are asynchronous -- they surface
         // at the next wait()/throw_asynchronous(), not here.
@@ -401,7 +403,7 @@ void queue::launch_dataflow_workers() {
         pending_threads_.emplace_back([this, w = std::move(w)]() mutable {
             std::optional<detail::command_failure> f = detail::run_command(
                 w.kernel, /*transfer=*/false, w.exec, thread_pool::global(),
-                w.actor, recorder_, w.cg);
+                w.actor, recorder_, w.cg, w.fault);
             if (!f) return;
             f->index = w.index;
             std::lock_guard lock(dataflow_failures_mutex_);

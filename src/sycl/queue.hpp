@@ -192,6 +192,7 @@ private:
         std::string kernel;
         detail::small_function<void(thread_pool&)> exec;
         int actor = -1;  ///< shadow actor bound around execution (-1: none)
+        std::optional<altis::fault::hit> fault;  ///< probed at submission
     };
 
     /// The body of both copy directions; the device side is the buffer.

@@ -80,6 +80,9 @@ void thread_pool::run_job(job& j) {
         for (std::size_t i = begin; i < end; ++i) j.fn(i);
         ++chunks;
     }
+    // The worker's coalesced shadow accesses reach the store before the job
+    // retires, while the job's actor still waits for the drain.
+    altis::analyze::shadow::on_job_end();
     if (metered) {
         namespace mi = altis::metrics::instruments;
         mi::pool_worker_busy_ns().add(now_ns() - t0);

@@ -156,7 +156,7 @@ TEST(Hazards, H3SilentWhileTheGroupIsLive) {
         syclite::buffer<int> buf(16);
         q.submit([&](syclite::handler& h) {
             auto a = h.get_access(buf, syclite::access_mode::read_write);
-            h.single_task(named("inside"), [&] { a[0] = 1; });
+            h.single_task(named("inside"), [=] { a[0] = 1; });
         });
         q.wait();
     }
@@ -324,7 +324,7 @@ TEST(Hazards, PassiveWithoutRecorder) {
     syclite::buffer<int> buf(8);
     q.submit([&](syclite::handler& h) {
         auto a = h.get_access(buf, syclite::access_mode::write);
-        h.single_task(named("untracked"), [&] { a[0] = 1; });
+        h.single_task(named("untracked"), [=] { a[0] = 1; });
     });
     q.wait();
     EXPECT_EQ(recorder::current(), nullptr);

@@ -9,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "apps/common/app.hpp"
+#include "core/registry.hpp"
+#include "core/result_database.hpp"
 #include "fault/inject.hpp"
 #include "sycl/syclite.hpp"
 #include "trace/session.hpp"
@@ -234,6 +237,37 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ThreeEngines,
                              }
                              return "Unknown";
                          });
+
+// The launch fault point is probed at submission, on the submitting thread:
+// `launch:*@2` hits the second *submitted* kernel even on an out-of-order
+// queue, where fdtd2d's ey and ex updates of a step run concurrently.
+TEST(AsyncErrors, OooLaunchFaultHitsTheSecondSubmittedKernelEveryRun) {
+    altis::apps::register_all_apps();
+    const altis::AppInfo* app = altis::Registry::instance().find("fdtd2d");
+    ASSERT_NE(app, nullptr);
+    const char* prev = std::getenv("ALTIS_OOO");
+    const std::string saved = prev != nullptr ? prev : "";
+    ASSERT_EQ(setenv("ALTIS_OOO", "1", 1), 0);
+    altis::RunConfig cfg;
+    cfg.size = 1;
+    cfg.variant = altis::Variant::fpga_opt;
+    cfg.device = "stratix_10";
+    for (int run = 0; run < 10; ++run) {
+        fault::plan p = fault::plan::parse("launch:*@2;seed=5");
+        fault::scope fs(p);
+        altis::ResultDatabase db;
+        try {
+            app->run(cfg, db);
+            ADD_FAILURE() << "run " << run << ": launch fault not raised";
+        } catch (const fault::launch_fault& f) {
+            EXPECT_EQ(f.op(), "fdtd_ex") << "run " << run << ": " << f.what();
+        }
+    }
+    if (prev != nullptr)
+        setenv("ALTIS_OOO", saved.c_str(), 1);
+    else
+        unsetenv("ALTIS_OOO");
+}
 
 TEST(PipeTimeout, ConstructorTimeoutBoundsBlockingOps) {
     pipe<int> pp(2, "tiny", std::chrono::milliseconds(20));

@@ -390,7 +390,12 @@ void run_seeded_dag(queue& q, std::deque<buffer<int>>& bufs,
             h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)),
                            stats("mix"), [=](nd_item<1> it) {
                                const std::size_t i = it.get_global_id(0);
-                               ad[i] = ad[i] * 31 + as[i] + k;
+                               // Unsigned: the mix wraps instead of
+                               // overflowing a signed int.
+                               ad[i] = static_cast<int>(
+                                   static_cast<unsigned>(ad[i]) * 31u +
+                                   static_cast<unsigned>(as[i]) +
+                                   static_cast<unsigned>(k));
                            });
         });
     }
