@@ -267,7 +267,9 @@ AppResult run_impl(const RunConfig& cfg) {
                 detail::stats_step_factor(p, kFp64, cfg.variant, dev),
                 [=](sl::nd_item<1> it) {
                     const std::size_t e = it.get_global_id(0);
-                    if (e < nel) s[e] = step_factor(load(&v[0], nel, e));
+                    if (e < nel)
+                        s[e] = step_factor(
+                            load(v.span(0, v.size()).data(), nel, e));
                 });
         });
         for (int rk = 0; rk < kRkSteps; ++rk) {
@@ -281,8 +283,11 @@ AppResult run_impl(const RunConfig& cfg) {
                     detail::stats_flux(p, kFp64, cfg.variant, dev),
                     [=](sl::nd_item<1> it) {
                         const std::size_t e = it.get_global_id(0);
+                        // Neighbours are gathered from all of `v`; the
+                        // element's own kVars outputs are one exact view.
                         if (e < nel)
-                            element_flux(*mp, &v[0], nel, e, &fl[e * kVars]);
+                            element_flux(*mp, v.span(0, v.size()).data(), nel,
+                                         e, fl.span(e * kVars, kVars).data());
                     });
             });
             e_ts = q.submit([&](sl::handler& h) {  // time step

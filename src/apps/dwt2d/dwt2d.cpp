@@ -152,7 +152,8 @@ AppResult run(const RunConfig& cfg) {
                         const std::size_t row =
                             g.get_group_id(0) * 64 + it.get_local_id(0);
                         if (row < rows)
-                            fdwt97_1d(&a[row * pitch], len, 1, scratch);
+                            fdwt97_1d(a.span(row * pitch, len).data(), len, 1,
+                                      scratch);
                     });
                 });
         });
@@ -167,8 +168,11 @@ AppResult run(const RunConfig& cfg) {
                     g.parallel_for_work_item([&](sl::h_item<1> it) {
                         const std::size_t col =
                             g.get_group_id(0) * 64 + it.get_local_id(0);
+                        // The strided column is recorded as its hull; the
+                        // columns in between belong to this same kernel.
                         if (col < cols)
-                            fdwt97_1d(&a[col], len, pitch, scratch);
+                            fdwt97_1d(a.span(col, (len - 1) * pitch + 1).data(),
+                                      len, pitch, scratch);
                     });
                 });
         });

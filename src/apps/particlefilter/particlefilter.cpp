@@ -277,9 +277,7 @@ AppResult run_flavor(const RunConfig& cfg, flavor f) {
                 // v8 by value: the command-group scope is gone when the
                 // kernel body runs.
                 h.single_task(detail::stats_frame_st(p, f, dev), [&, v8, t]() {
-                    std::span<const std::uint8_t> vspan(v8.get_pointer(),
-                                                        video.size());
-                    sir_frame(p, f, vspan, t, s,
+                    sir_frame(p, f, v8.span(0, video.size()), t, s,
                               got.xe[static_cast<std::size_t>(t)],
                               got.ye[static_cast<std::size_t>(t)]);
                 });
@@ -293,9 +291,8 @@ AppResult run_flavor(const RunConfig& cfg, flavor f) {
                 auto v8 = h.get_access(vid, sl::access_mode::read);
                 h.library_call(detail::stats_propagate(p, f, cfg.variant, dev),
                                [&, v8, t]() {
-                                   std::span<const std::uint8_t> vspan(
-                                       v8.get_pointer(), video.size());
-                                   sir_frame(p, f, vspan, t, s,
+                                   sir_frame(p, f, v8.span(0, video.size()),
+                                             t, s,
                                              got.xe[static_cast<std::size_t>(t)],
                                              got.ye[static_cast<std::size_t>(t)]);
                                });

@@ -59,6 +59,13 @@ stats2 image_stats_chunked(const float* img, std::size_t n, std::size_t chunk) {
 
 constexpr std::size_t kChunk = 1024;
 
+/// Whole-buffer recorded view: the stencil kernels index every array by
+/// cell, so a kernel's footprint is the full image.
+template <typename T>
+T* whole(const sl::accessor<T>& a) {
+    return a.span(0, a.size()).data();
+}
+
 /// One diffusion step; `c` and the four derivative arrays are scratch.
 /// Shared verbatim between golden (serial loops) and the device kernels.
 void diffusion_coefficients(std::size_t rows, std::size_t cols, float q0sqr,
@@ -211,10 +218,9 @@ AppResult run(const RunConfig& cfg) {
                     for (std::size_t i = 0; i < rows; ++i)
                         for (std::size_t j = 0; j < cols; ++j)
                             diffusion_coefficients(
-                                rows, cols, q0sqr, img.get_pointer(),
-                                ac.get_pointer(), an.get_pointer(),
-                                as.get_pointer(), aw.get_pointer(),
-                                ae.get_pointer(), i, j);
+                                rows, cols, q0sqr, whole(img), whole(ac),
+                                whole(an), whole(as), whole(aw), whole(ae),
+                                i, j);
                 });
             });
             q.submit([&](sl::handler& h) {
@@ -227,11 +233,9 @@ AppResult run(const RunConfig& cfg) {
                 h.single_task(detail::stats_srad_st(p, dev), [=]() {
                     for (std::size_t i = 0; i < rows; ++i)
                         for (std::size_t j = 0; j < cols; ++j)
-                            diffusion_update(rows, cols, lambda,
-                                             img.get_pointer(),
-                                             ac.get_pointer(), an.get_pointer(),
-                                             as.get_pointer(), aw.get_pointer(),
-                                             ae.get_pointer(), i, j);
+                            diffusion_update(rows, cols, lambda, whole(img),
+                                             whole(ac), whole(an), whole(as),
+                                             whole(aw), whole(ae), i, j);
                 });
             });
         } else {
@@ -249,10 +253,9 @@ AppResult run(const RunConfig& cfg) {
                     [=](sl::nd_item<1> it) {
                         const std::size_t idx = it.get_global_id(0);
                         diffusion_coefficients(
-                            rows, cols, q0sqr, img.get_pointer(),
-                            ac.get_pointer(), an.get_pointer(),
-                            as.get_pointer(), aw.get_pointer(),
-                            ae.get_pointer(), idx / cols, idx % cols);
+                            rows, cols, q0sqr, whole(img), whole(ac),
+                            whole(an), whole(as), whole(aw), whole(ae),
+                            idx / cols, idx % cols);
                     });
             });
             q.submit([&](sl::handler& h) {
@@ -267,10 +270,9 @@ AppResult run(const RunConfig& cfg) {
                     detail::stats_srad2(p, cfg.variant, dev),
                     [=](sl::nd_item<1> it) {
                         const std::size_t idx = it.get_global_id(0);
-                        diffusion_update(rows, cols, lambda, img.get_pointer(),
-                                         ac.get_pointer(), an.get_pointer(),
-                                         as.get_pointer(), aw.get_pointer(),
-                                         ae.get_pointer(), idx / cols,
+                        diffusion_update(rows, cols, lambda, whole(img),
+                                         whole(ac), whole(an), whole(as),
+                                         whole(aw), whole(ae), idx / cols,
                                          idx % cols);
                     });
             });
