@@ -130,8 +130,9 @@ void run_nd_iteration(sl::queue& q, const params& p, sl::buffer<float>& points,
         h.parallel_for(sl::nd_range<1>(sl::range<1>(p.n), sl::range<1>(wg)),
                        detail::stats_map_nd(p, dev), [=](sl::nd_item<1> it) {
                            const std::size_t i = it.get_global_id(0);
-                           asg[i] = nearest_center(&pts[i * cp.d],
-                                                   &ctr[0], cp.k, cp.d);
+                           asg[i] = nearest_center(
+                               pts.span(i * cp.d, cp.d).data(),
+                               ctr.span(0, cp.k * cp.d).data(), cp.k, cp.d);
                        });
     });
 
@@ -242,8 +243,8 @@ void run_dataflow(sl::queue& q, const params& p, sl::buffer<float>& points,
                 std::size_t filled = 0;
                 for (std::size_t i = 0; i < cp.n; ++i) {
                     mapping& m = batch[filled];
-                    m.center =
-                        nearest_center(&pts[i * cp.d], cur.data(), cp.k, cp.d);
+                    m.center = nearest_center(pts.span(i * cp.d, cp.d).data(),
+                                              cur.data(), cp.k, cp.d);
                     for (std::size_t j = 0; j < cp.d; ++j)
                         m.coords[j] = pts[i * cp.d + j];
                     if (iter == cp.iterations - 1) asg[i] = m.center;

@@ -103,10 +103,8 @@ void submit_library_scan(sl::queue& q, const params& p, sl::buffer<int>& flags,
         // Opaque library call: the descriptor carries the library scan's
         // multi-pass structure; functionally we run the real blocked scan.
         h.library_call(stats, [=]() {
-            scan::exclusive_scan_blocked(
-                std::span<const int>(f.get_pointer(), n),
-                std::span<int>(pre.get_pointer(), n),
-                sl::thread_pool::global());
+            scan::exclusive_scan_blocked(f.span(0, n), pre.span(0, n),
+                                         sl::thread_pool::global());
         });
     });
 }
@@ -122,9 +120,8 @@ void submit_custom_scan(sl::queue& q, const params& p,
         auto pre = h.get_access(prefix, sl::access_mode::discard_write);
         const std::size_t n = p.n;
         h.single_task(stats, [=]() {
-            scan::exclusive_scan_fpga_custom(
-                std::span<const int>(results.get_pointer(), n),
-                std::span<int>(pre.get_pointer(), n));
+            scan::exclusive_scan_fpga_custom(results.span(0, n),
+                                             pre.span(0, n));
         });
     });
 }
