@@ -1,9 +1,11 @@
 // The clean-tree guarantee: running the whole registered suite under the
-// sanitizer produces zero findings, functionally (real queues, default
-// variant/device) and over the bench descriptors (sizes 1-3). A finding here
+// sanitizer produces zero findings, functionally (real queues, the default
+// variant/device and fpga_opt on stratix_10) and over the bench descriptors
+// (sizes 1-3). A finding here
 // is either a real bug in an app or a false positive in a rule -- both block.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "analyze/sanitize.hpp"
@@ -21,13 +23,14 @@ std::string render(const report& r) {
     return os.str();
 }
 
-TEST(CleanApps, FunctionalRunOfEveryAppHasZeroFindings) {
+/// Runs every registered app that implements `cfg.variant` under its own
+/// recorder and expects zero findings.
+void expect_clean_runs(const RunConfig& cfg) {
     apps::register_all_apps();
-    RunConfig cfg;
-    cfg.size = 1;
-    cfg.passes = 1;
-
     for (const auto& app : Registry::instance().apps()) {
+        if (std::find(app.variants.begin(), app.variants.end(),
+                      cfg.variant) == app.variants.end())
+            continue;
         recorder rec;
         {
             recorder::scope scope(rec);
@@ -39,6 +42,24 @@ TEST(CleanApps, FunctionalRunOfEveryAppHasZeroFindings) {
         EXPECT_FALSE(rec.graph().empty()) << app.name
                                           << ": recorder captured nothing";
     }
+}
+
+TEST(CleanApps, FunctionalRunOfEveryAppHasZeroFindings) {
+    RunConfig cfg;
+    cfg.size = 1;
+    cfg.passes = 1;
+    expect_clean_runs(cfg);
+}
+
+TEST(CleanApps, FpgaOptRunOfEveryAppHasZeroFindings) {
+    // The optimized FPGA designs reach what the default variant skips:
+    // single-task kernels, the custom scan, dataflow pipes.
+    RunConfig cfg;
+    cfg.size = 1;
+    cfg.passes = 1;
+    cfg.variant = Variant::fpga_opt;
+    cfg.device = "stratix_10";
+    expect_clean_runs(cfg);
 }
 
 TEST(CleanApps, SuiteDescriptorsHaveZeroFindings) {
