@@ -1,7 +1,7 @@
 // Completed- or pending-command handle with simulated profiling timestamps.
-// Kernel events carry the kernel's descriptor name; transfer/overhead events
-// carry the empty string -- queue::events() is a self-describing command log
-// even without a trace session attached.
+// Kernel events carry the kernel's descriptor name; transfer events carry
+// the empty string, so an event describes its command even without a trace
+// session attached.
 //
 // On in-order queues an event is always complete by the time the caller
 // holds it and wait() is a no-op. On out-of-order queues (queue_property::

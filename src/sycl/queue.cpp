@@ -58,9 +58,6 @@ queue::queue(const perf::device_spec& dev, perf::runtime_kind rt,
       obs_(stream::current()), recorder_(analyze::recorder::current()) {
     if (prop == queue_property::out_of_order)
         sched_ = std::make_unique<graph::scheduler>(&thread_pool::global());
-    // Sized for a typical timed region; amortizes away the vector growth
-    // that showed up in BM_SubmitDispatch.
-    events_.reserve(256);
     if (obs_) {
         timeline_ = stream::next_timeline();
         emit({.what = kind::open, .device = &dev_});
@@ -112,10 +109,8 @@ event queue::record(const perf::kernel_stats& stats, double duration_ns,
               .start_ns = start, .end_ns = end, .stats = &stats});
     // The event above is the last reader of stats.name; a donated name is
     // moved from here on.
-    events_.emplace_back(submit, start, end,
-                         name != nullptr ? std::move(*name)
-                                         : std::string(stats.name));
-    return events_.back();
+    return {submit, start, end,
+            name != nullptr ? std::move(*name) : std::string(stats.name)};
 }
 
 double queue::kernel_duration(const perf::kernel_stats& stats,
@@ -233,9 +228,8 @@ event queue::finish_submit_graph(handler& h) {
               .t1 = submit + launch, .start_ns = t.start_ns, .end_ns = t.end_ns,
               .stats = &h.stats(), .lane = t.lane, .cmd = t.id,
               .deps = &t.deps});
-    events_.emplace_back(submit, t.start_ns, t.end_ns, h.stats().name, t.id,
-                         sched_->state());
-    return events_.back();
+    return {submit, t.start_ns, t.end_ns, h.stats().name, t.id,
+            sched_->state()};
 }
 
 event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
@@ -267,9 +261,8 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
           .deps = &t.deps, .base = to_device ? dst_ptr : src_ptr,
           .bytes = static_cast<double>(bytes), .to_device = to_device,
           .dep_actors = &t.dep_actors, .actor = &release.actor});
-    events_.emplace_back(submit, t.start_ns, t.end_ns, std::string(), t.id,
-                         sched_->state());
-    return events_.back();
+    return {submit, t.start_ns, t.end_ns, std::string(), t.id,
+            sched_->state()};
 }
 
 void queue::merge_failures(std::vector<detail::command_failure>& failed,
@@ -495,7 +488,6 @@ std::vector<event> queue::end_dataflow() {
         emit({.what = kind::overhead, .t0 = group_end, .t1 = sim_now_ns_,
               .label = "launch drain"});
     pending_stats_.clear();
-    events_.insert(events_.end(), evs.begin(), evs.end());
     return evs;
 }
 
@@ -531,12 +523,11 @@ void queue::wait() {
 void queue::annotate_overhead_ns(double ns) {
     emit({.what = kind::overhead, .t0 = sim_now_ns_, .t1 = sim_now_ns_ + ns,
           .label = "overhead"});
-    events_.emplace_back(sim_now_ns_, sim_now_ns_, sim_now_ns_ + ns);
     sim_now_ns_ += ns;
     non_kernel_ns_ += ns;
 }
 
-void queue::charge_transfer(double bytes, const void* base, bool to_device) {
+event queue::charge_transfer(double bytes, const void* base, bool to_device) {
     try {
         fault::maybe_inject(fault::op_kind::transfer, "transfer",
                             std::to_string(static_cast<long long>(bytes)) +
@@ -549,9 +540,10 @@ void queue::charge_transfer(double bytes, const void* base, bool to_device) {
     emit({.what = kind::transfer, .t0 = sim_now_ns_, .t1 = sim_now_ns_ + t,
           .label = "transfer", .base = base, .bytes = bytes,
           .to_device = to_device});
-    events_.emplace_back(sim_now_ns_, sim_now_ns_, sim_now_ns_ + t);
+    const event e(sim_now_ns_, sim_now_ns_, sim_now_ns_ + t);
     sim_now_ns_ += t;
     non_kernel_ns_ += t;
+    return e;
 }
 
 void queue::reset_timers() {
@@ -564,7 +556,6 @@ void queue::reset_timers() {
     non_kernel_ns_ = 0.0;
     epoch_start_ns_ = 0.0;
     epoch_launch_ns_ = 0.0;
-    events_.clear();
 }
 
 void queue::charge_setup() {

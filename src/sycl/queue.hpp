@@ -170,8 +170,6 @@ public:
     /// non-kernel region; apps call this at the start of a timed region.
     void charge_setup();
 
-    [[nodiscard]] const std::vector<event>& events() const { return events_; }
-
     /// Replaces the thread pool the graph scheduler dispatches ready nodes
     /// onto (default: thread_pool::global()). Benchmarks hand in a dedicated
     /// multi-worker pool to measure overlap on single-core hosts. The pool
@@ -212,13 +210,13 @@ private:
         } else {
             if (sched_ != nullptr) join_graph();
         }
-        charge_transfer(static_cast<double>(bytes), to_device ? dst : src,
-                        to_device);
+        const event e = charge_transfer(static_cast<double>(bytes),
+                                        to_device ? dst : src, to_device);
         if constexpr (std::is_trivially_copyable_v<T>)
             altis::mem::copy_bytes(dst, src, bytes);
         else
             std::copy(src, src + n, dst);
-        return events_.back();
+        return e;
     }
 
     /// submit()'s shared prologue, then the command's disposition: run now
@@ -240,10 +238,10 @@ private:
         e.timeline = timeline_;
         obs_.emit(e);
     }
-    /// The PCIe charge of a copy; `base` is its device side (null for a
-    /// timing-only annotation).
-    void charge_transfer(double bytes, const void* base = nullptr,
-                         bool to_device = false);
+    /// The PCIe charge of a copy, returned as the copy's event; `base` is
+    /// its device side (null for a timing-only annotation).
+    event charge_transfer(double bytes, const void* base = nullptr,
+                          bool to_device = false);
     /// Async copy as a graph node. The buffer side (`dst_ptr` when
     /// `to_device`, else `src_ptr`) is the conflict identity kernels declare.
     event submit_transfer_graph(bool to_device, void* dst_ptr,
@@ -263,9 +261,10 @@ private:
     /// naming every blocked kernel.
     void merge_failures(std::vector<detail::command_failure>& failed,
                         const char* cancel_label);
-    /// Appends the kernel event; when `name` is non-null its string is moved
-    /// into the event instead of copying stats.name (submissions own their
-    /// handler, so finish_submit can donate the name it no longer needs).
+    /// Charges and returns the kernel event; when `name` is non-null its
+    /// string is moved into the event instead of copying stats.name
+    /// (submissions own their handler, so finish_submit can donate the name
+    /// it no longer needs).
     event record(const perf::kernel_stats& stats, double duration_ns,
                  std::string* name = nullptr);
     /// A failed operation at the current simulated time.
@@ -280,7 +279,6 @@ private:
     double sim_now_ns_ = 0.0;
     double kernel_ns_ = 0.0;
     double non_kernel_ns_ = 0.0;
-    std::vector<event> events_;
 
     async_handler handler_;
     /// Errors from sequential submissions awaiting delivery (handler set).

@@ -207,7 +207,7 @@ TEST(QueueTrace, EventsCarryKernelNamesWithoutASession) {
     ASSERT_EQ(session::current(), nullptr);
     syclite::queue q("rtx_2080");
     syclite::buffer<int> b(64);
-    q.submit([&](syclite::handler& h) {
+    const syclite::event kernel = q.submit([&](syclite::handler& h) {
         auto acc = h.get_access(b, syclite::access_mode::discard_write);
         h.parallel_for(
             syclite::nd_range<1>(syclite::range<1>(64), syclite::range<1>(64)),
@@ -216,10 +216,14 @@ TEST(QueueTrace, EventsCarryKernelNamesWithoutASession) {
     });
     std::vector<float> host(16, 0.0f);
     syclite::buffer<float> fb(host.size());
-    q.copy_to_device(fb, host.data());
-    ASSERT_EQ(q.events().size(), 2u);
-    EXPECT_EQ(q.events()[0].name(), "lonely");
-    EXPECT_EQ(q.events()[1].name(), "");  // transfers are anonymous commands
+    const syclite::event copy = q.copy_to_device(fb, host.data());
+    EXPECT_EQ(kernel.name(), "lonely");
+    EXPECT_EQ(copy.name(), "");  // transfers are anonymous commands
+    // Each event carries its own command's timestamps, in queue order.
+    EXPECT_GT(kernel.duration_ns(), 0.0);
+    EXPECT_GT(copy.duration_ns(), 0.0);
+    EXPECT_GE(copy.profiling_start_ns(), kernel.profiling_end_ns());
+    EXPECT_DOUBLE_EQ(copy.profiling_end_ns(), q.sim_now_ns());
 }
 
 TEST(RegionTrace, SimulatedRegionEmitsBalancedSpans) {
