@@ -22,12 +22,6 @@ const char* to_string(severity s) {
 
 const std::vector<rule_info>& rule_catalog() {
     static const std::vector<rule_info> catalog = {
-        {"ALS-H1", "conflicting concurrent access in dataflow group",
-         severity::error, "Fig. 3",
-         "synchronize the kernels through a pipe or split the group"},
-        {"ALS-H2", "host transfer overlaps un-waited kernel access",
-         severity::error, "Sec. 3.2",
-         "call queue::wait() before copying the buffer"},
         {"ALS-H3", "accessor used after its command group completed",
          severity::error, "Sec. 5.3",
          "create the accessor inside the command group that uses it"},

@@ -31,7 +31,7 @@ struct rule_info {
 [[nodiscard]] const rule_info& rule(const std::string& id);
 
 struct finding {
-    std::string rule;     ///< catalog id, e.g. "ALS-H1"
+    std::string rule;     ///< catalog id, e.g. "ALS-R1"
     severity sev = severity::warning;
     std::string kernel;   ///< kernel(s) or operation the finding points at
     std::string object;   ///< buffer range, pipe name, USM region, ...

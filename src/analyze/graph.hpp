@@ -51,12 +51,6 @@ struct mem_access {
     /// the generation is what keeps two logical allocations at the same
     /// base from collapsing onto one finding fingerprint.
     std::uint64_t generation = 0;
-
-    [[nodiscard]] bool overlaps(const mem_access& o) const {
-        const auto* a = static_cast<const char*>(base);
-        const auto* b = static_cast<const char*>(o.base);
-        return a < b + o.bytes && b < a + bytes;
-    }
 };
 
 enum class pipe_dir { read, write };
@@ -120,9 +114,9 @@ struct node {
     /// buffers and no pipe identities behind it.
     bool simulated = false;
     /// Submitted to an out-of-order graph queue: command order in this log
-    /// does not imply execution order, so program-order passes (ALS-H2's
-    /// in-flight window) must skip it -- ordering is captured as real
-    /// happens-before edges in the shadow store instead.
+    /// does not imply execution order (ordering is captured as real
+    /// happens-before edges in the shadow store instead). Read only by
+    /// ALS-L5, which judges graph joins by `pending`, not program order.
     bool ooo = false;
     /// Wait nodes on out-of-order queues: commands pending in the graph when
     /// the join was issued. 0 means the join had no incoming edges at all --

@@ -17,113 +17,6 @@ std::string range_str(const mem_access& a) {
     return os.str();
 }
 
-const char* conflict_name(const mem_access& a, const mem_access& b) {
-    if (writes(a.mode) && writes(b.mode)) return "write/write";
-    return writes(a.mode) ? "write/read" : "read/write";
-}
-
-/// Union-find over the kernels of one dataflow group, connected when they
-/// share a pipe identity. Pipe-connected kernels are treated as internally
-/// synchronized (the channel sequences their rounds).
-class pipe_connectivity {
-public:
-    explicit pipe_connectivity(const std::vector<const node*>& kernels) {
-        parent_.resize(kernels.size());
-        for (std::size_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
-        std::map<const void*, std::size_t> first_user;
-        for (std::size_t i = 0; i < kernels.size(); ++i)
-            for (const pipe_endpoint& p : kernels[i]->pipes) {
-                const auto [it, fresh] = first_user.emplace(p.pipe, i);
-                if (!fresh) unite(it->second, i);
-            }
-    }
-
-    [[nodiscard]] bool connected(std::size_t a, std::size_t b) {
-        return find(a) == find(b);
-    }
-
-private:
-    std::size_t find(std::size_t x) {
-        while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
-        return x;
-    }
-    void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
-    std::vector<std::size_t> parent_;
-};
-
-void lint_group_conflicts(const command_graph& g, report& out) {
-    // Collect kernels per (queue, group).
-    std::map<std::pair<int, int>, std::vector<const node*>> groups;
-    for (const node& n : g.nodes)
-        if (n.kind == node_kind::kernel && !n.simulated && n.group >= 0)
-            groups[{n.queue, n.group}].push_back(&n);
-
-    for (const auto& [key, kernels] : groups) {
-        pipe_connectivity conn(kernels);
-        for (std::size_t i = 0; i < kernels.size(); ++i)
-            for (std::size_t j = i + 1; j < kernels.size(); ++j) {
-                if (conn.connected(i, j)) continue;
-                for (const mem_access& a : kernels[i]->accesses)
-                    for (const mem_access& b : kernels[j]->accesses) {
-                        if (!a.overlaps(b)) continue;
-                        if (!writes(a.mode) && !writes(b.mode)) continue;
-                        out.add(make_finding(
-                            "ALS-H1",
-                            kernels[i]->kernel + " & " + kernels[j]->kernel,
-                            range_str(a),
-                            std::string(conflict_name(a, b)) +
-                                " conflict between concurrent kernels with "
-                                "no pipe between them"));
-                    }
-            }
-    }
-}
-
-void lint_host_transfers(const command_graph& g, report& out) {
-    // Per queue: kernel accesses in flight since the last wait().
-    std::map<int, std::vector<std::pair<const node*, const mem_access*>>>
-        in_flight;
-    for (const node& n : g.nodes) {
-        if (n.simulated) continue;
-        // Out-of-order nodes: the log position is a submission order, not an
-        // execution order, so the in-flight window is meaningless. Host/device
-        // overlap on OOO queues is covered by the HB-precise ALS-R1 pass over
-        // the graph's real edges.
-        if (n.ooo && n.kind != node_kind::wait) continue;
-        switch (n.kind) {
-            case node_kind::kernel:
-                for (const mem_access& a : n.accesses)
-                    if (a.kind == mem_kind::buffer)
-                        in_flight[n.queue].emplace_back(&n, &a);
-                break;
-            case node_kind::wait:
-                in_flight[n.queue].clear();
-                break;
-            case node_kind::transfer_in:
-            case node_kind::transfer_out: {
-                const mem_access& t = n.accesses.front();
-                for (const auto& [k, a] : in_flight[n.queue]) {
-                    if (!t.overlaps(*a)) continue;
-                    // Host read needs the kernel's writes finished; a host
-                    // write additionally races with kernel reads.
-                    if (!writes(a->mode) && n.kind == node_kind::transfer_out)
-                        continue;
-                    out.add(make_finding(
-                        "ALS-H2", k->kernel, range_str(t),
-                        std::string(n.kind == node_kind::transfer_out
-                                        ? "host read of"
-                                        : "host write to") +
-                            " memory " + to_string(a->mode) + " by '" +
-                            k->kernel + "' with no wait() in between"));
-                }
-                break;
-            }
-            default: break;
-        }
-    }
-}
-
 void lint_usm(const command_graph& g, report& out) {
     struct region {
         const char* base;
@@ -233,8 +126,6 @@ void lint_redundant_waits(const command_graph& g, report& out) {
 }  // namespace
 
 void lint_hazards(const command_graph& g, report& out) {
-    lint_group_conflicts(g, out);
-    lint_host_transfers(g, out);
     lint_usm(g, out);
     lint_redundant_waits(g, out);
 }

@@ -1,21 +1,20 @@
-// Happens-before hazard detection over a recorded command graph.
+// Declaration-level hazard passes over a recorded command graph: the rules
+// that need no observed accesses. Conflicting accesses -- concurrent kernels
+// of a dataflow group, a host copy racing un-waited kernel work -- are
+// ALS-R1's job (race.hpp): with every kernel access recorded, the
+// happens-before engine checks what the kernels actually touch, so no
+// declared-range heuristic is kept beside it.
 //
-// syclite queues are in-order, so sequential kernel-after-kernel reuse of a
-// buffer is safe; the hazards worth flagging are the ones concurrency or the
-// host introduce:
-//
-//   ALS-H1  two kernels of the same dataflow group touch overlapping memory,
-//           at least one writing, with no pipe connecting them (pipes are the
-//           group's only synchronization channel -- Fig. 3's kernels share
-//           `centers` safely *because* the pipes sequence their rounds).
-//   ALS-H2  a host transfer reads or writes a range that async kernel work
-//           touched with no intervening queue::wait().
 //   ALS-H4  a kernel declares a USM range (handler::uses_usm) that is not
 //           live: freed (use-after-free) or never allocated; also double and
 //           invalid usm_free calls.
 //   ALS-L5  queue::wait() with no commands since the previous wait -- the
 //           redundant-synchronization smell behind the paper's Sec. 3.3
 //           timing pitfalls.
+//
+// ALS-H3 (an accessor used after its command group) is checked at run time
+// by the accessor probe (probe.hpp), not here. The ids H1/H2 are retired and
+// not reused: baseline fingerprints contain rule ids.
 #pragma once
 
 #include "analyze/findings.hpp"

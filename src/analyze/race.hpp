@@ -1,9 +1,12 @@
 // HB-precise sanitize passes over the observed-access shadow store:
 //
 //   ALS-R1  two overlapping accesses, >= 1 write, by different actors, with
-//           no happens-before path in either direction (the precise
-//           successor of the ALS-H1/H2 heuristics -- a pipe edge or a
-//           wait() that really orders the pair exonerates it).
+//           no happens-before path in either direction -- a pipe edge or a
+//           wait() that really orders the pair exonerates it. This covers
+//           both unpiped dataflow kernels and host copies racing un-waited
+//           kernel work, on the bytes actually touched: kernels reach
+//           buffer memory only through operator[] and accessor::span, both
+//           recorded.
 //   ALS-R2  pipe-ordered but round-skewed: a receive straddles a multiple
 //           of the declared items_per_round, so the consumer mixes two
 //           steady-state rounds in one read.

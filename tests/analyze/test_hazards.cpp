@@ -3,7 +3,6 @@
 // syclite queues under a recorder -- the same capture path `--sanitize` uses.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -21,15 +20,10 @@ perf::kernel_stats named(const char* n) {
     return k;
 }
 
-std::vector<std::string> rules_of(const report& r) {
-    std::vector<std::string> ids;
-    for (const finding& f : r.findings()) ids.push_back(f.rule);
-    return ids;
-}
-
 bool has_rule(const report& r, const std::string& id) {
-    const auto ids = rules_of(r);
-    return std::find(ids.begin(), ids.end(), id) != ids.end();
+    for (const finding& f : r.findings())
+        if (f.rule == id) return true;
+    return false;
 }
 
 std::string render(const report& r) {
@@ -38,6 +32,9 @@ std::string render(const report& r) {
     return os.str();
 }
 
+// The H1/H2 shapes, checked on the bytes the kernels touch: the
+// happens-before engine (ALS-R1) decides them, not a declared-range rule.
+
 TEST(Hazards, H1UnpipedConflictInDataflowGroup) {
     recorder rec;
     {
@@ -45,22 +42,20 @@ TEST(Hazards, H1UnpipedConflictInDataflowGroup) {
         syclite::queue q("xeon_6128");
         syclite::buffer<int> shared(64);
         syclite::dataflow_guard g(q);
-        // Two concurrent kernels both declare write access to `shared` and
-        // no pipe connects them: nothing sequences their rounds.
-        q.submit([&](syclite::handler& h) {
-            auto a = h.get_access(shared, syclite::access_mode::write);
-            (void)a;
-            h.single_task(named("writer_a"), [] {});
-        });
-        q.submit([&](syclite::handler& h) {
-            auto a = h.get_access(shared, syclite::access_mode::write);
-            (void)a;
-            h.single_task(named("writer_b"), [] {});
-        });
+        // Two concurrent kernels each take a write view of all of `shared`
+        // and no pipe connects them: nothing sequences their rounds. The
+        // views are recorded; nothing is written through them, so the test
+        // itself stays clean under TSan.
+        for (const char* writer : {"writer_a", "writer_b"}) {
+            q.submit([&](syclite::handler& h) {
+                auto a = h.get_access(shared, syclite::access_mode::write);
+                h.single_task(named(writer), [a] { (void)a.span(0, 64); });
+            });
+        }
         (void)g.join();
     }
     const report r = run_all(rec);
-    EXPECT_TRUE(has_rule(r, "ALS-H1")) << "rules: " << rules_of(r).size();
+    EXPECT_TRUE(has_rule(r, "ALS-R1")) << render(r);
 }
 
 TEST(Hazards, H1SuppressedWhenPipeConnectsTheKernels) {
@@ -71,21 +66,28 @@ TEST(Hazards, H1SuppressedWhenPipeConnectsTheKernels) {
         syclite::buffer<int> shared(64);
         syclite::pipe<int> ch(8, "ch");
         syclite::dataflow_guard g(q);
+        // The consumer touches `shared` only after receiving the token the
+        // producer sent once its writes were done: the pipe orders them.
         q.submit([&](syclite::handler& h) {
             auto a = h.get_access(shared, syclite::access_mode::write);
-            (void)a;
             h.writes_pipe(ch, 1.0, 1.0);
-            h.single_task(named("producer"), [&] { ch.write(1); });
+            h.single_task(named("producer"), [a, &ch] {
+                for (std::size_t i = 0; i < 64; ++i) a[i] = 1;
+                ch.write(1);
+            });
         });
         q.submit([&](syclite::handler& h) {
             auto a = h.get_access(shared, syclite::access_mode::read_write);
-            (void)a;
             h.reads_pipe(ch, 1.0, 1.0);
-            h.single_task(named("consumer"), [&] { (void)ch.read(); });
+            h.single_task(named("consumer"), [a, &ch] {
+                (void)ch.read();
+                for (std::size_t i = 0; i < 64; ++i) a[i] += 1;
+            });
         });
         (void)g.join();
     }
-    EXPECT_FALSE(has_rule(run_all(rec), "ALS-H1"));
+    const report r = run_all(rec);
+    EXPECT_FALSE(has_rule(r, "ALS-R1")) << render(r);
 }
 
 TEST(Hazards, H2HostReadOfDeviceDirtyMemory) {
@@ -97,12 +99,14 @@ TEST(Hazards, H2HostReadOfDeviceDirtyMemory) {
         syclite::buffer<int> buf(64);
         q.submit([&](syclite::handler& h) {
             auto a = h.get_access(buf, syclite::access_mode::write);
-            (void)a;
-            h.single_task(named("dirtier"), [] {});
+            h.single_task(named("dirtier"), [a] {
+                for (std::size_t i = 0; i < 64; ++i) a[i] = 7;
+            });
         });
         q.copy_from_device(buf, host.data());  // missing q.wait()
     }
-    EXPECT_TRUE(has_rule(run_all(rec), "ALS-H2"));
+    const report r = run_all(rec);
+    EXPECT_TRUE(has_rule(r, "ALS-R1")) << render(r);
 }
 
 TEST(Hazards, H2CleanWithInterveningWait) {
@@ -114,15 +118,16 @@ TEST(Hazards, H2CleanWithInterveningWait) {
         syclite::buffer<int> buf(64);
         q.submit([&](syclite::handler& h) {
             auto a = h.get_access(buf, syclite::access_mode::write);
-            (void)a;
-            h.single_task(named("dirtier"), [] {});
+            h.single_task(named("dirtier"), [a] {
+                for (std::size_t i = 0; i < 64; ++i) a[i] = 7;
+            });
         });
         q.wait();
         q.copy_from_device(buf, host.data());
     }
     const report r = run_all(rec);
-    EXPECT_FALSE(has_rule(r, "ALS-H2"));
-    EXPECT_FALSE(has_rule(r, "ALS-L5"));
+    EXPECT_FALSE(has_rule(r, "ALS-R1")) << render(r);
+    EXPECT_FALSE(has_rule(r, "ALS-L5")) << render(r);
 }
 
 // The PR 2 particlefilter regression, reduced: an accessor created inside a

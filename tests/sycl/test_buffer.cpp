@@ -72,8 +72,15 @@ TEST(Accessor, CountsAccessesWhenEnabled) {
 }
 
 TEST(Accessor, GetPointerMatchesHostData) {
+    // span() is the accessor's one pointer escape: it views the host
+    // storage, and taking a view is not an element access.
     buffer<double> b(3);
-    EXPECT_EQ(b.access(access_mode::read).get_pointer(), b.host_data());
+    const accessor<double> acc = b.access(access_mode::read);
+    scoped_access_counting counting;
+    EXPECT_EQ(acc.span(0, 3).data(), b.host_data());
+    EXPECT_EQ(acc.span(1, 2).data(), b.host_data() + 1);
+    EXPECT_EQ(acc.span(1, 2).size(), 2u);
+    EXPECT_EQ(b.access_count(), 0u);
 }
 
 // ---- altis::mem-backed storage ----

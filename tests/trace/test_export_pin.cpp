@@ -151,7 +151,7 @@ TEST(ExportPin, ObserversSeeTheSameCommandStream) {
     EXPECT_EQ(digest(slurp(chrome)), 14779296041581462816u);
     EXPECT_EQ(digest(slurp(chrome + ".profile.json")), 13089206421541526065u);
     EXPECT_EQ(digest(slurp(findings)), 4469228996564786285u);
-    EXPECT_EQ(digest(slurp(sarif)), 11631369647136895u);
+    EXPECT_EQ(digest(slurp(sarif)), 15379224416818264316u);
     std::filesystem::remove_all(dir);
 }
 
