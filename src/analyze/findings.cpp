@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/json.hpp"
 #include "core/report.hpp"
 
 namespace altis::analyze {
@@ -190,38 +191,19 @@ void report::render_text(std::ostream& out) const {
             << "]: " << f.fix_hint << "\n";
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default: out += c;
-        }
-    }
-    return out;
-}
-
-}  // namespace
-
 void report::render_json(std::ostream& out) const {
     const std::vector<finding> sorted = sorted_findings();
     out << "{\"findings\": [";
     for (std::size_t i = 0; i < sorted.size(); ++i) {
         const finding& f = sorted[i];
         out << (i == 0 ? "" : ",") << "\n  {"
-            << "\"rule\": \"" << json_escape(f.rule) << "\", "
+            << "\"rule\": " << json::quoted{f.rule} << ", "
             << "\"severity\": \"" << to_string(f.sev) << "\", "
-            << "\"kernel\": \"" << json_escape(f.kernel) << "\", "
-            << "\"object\": \"" << json_escape(f.object) << "\", "
-            << "\"message\": \"" << json_escape(f.message) << "\", "
-            << "\"fix_hint\": \"" << json_escape(f.fix_hint) << "\", "
-            << "\"paper_ref\": \"" << json_escape(f.paper_ref) << "\", "
+            << "\"kernel\": " << json::quoted{f.kernel} << ", "
+            << "\"object\": " << json::quoted{f.object} << ", "
+            << "\"message\": " << json::quoted{f.message} << ", "
+            << "\"fix_hint\": " << json::quoted{f.fix_hint} << ", "
+            << "\"paper_ref\": " << json::quoted{f.paper_ref} << ", "
             << "\"fingerprint\": \"" << fingerprint(f) << "\"}";
     }
     out << "\n]}\n";

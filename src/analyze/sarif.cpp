@@ -6,24 +6,11 @@
 #include <ostream>
 #include <set>
 
+#include "core/json.hpp"
+
 namespace altis::analyze {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default: out += c;
-        }
-    }
-    return out;
-}
 
 const char* sarif_level(severity s) {
     switch (s) {
@@ -61,14 +48,12 @@ void render_sarif(const report& r, std::ostream& out) {
         const rule_info& ri = catalog[i];
         out << (i == 0 ? "" : ",") << "\n            {"
             << "\"id\": \"" << ri.id << "\", "
-            << "\"shortDescription\": {\"text\": \"" << json_escape(ri.title)
-            << "\"}, "
-            << "\"help\": {\"text\": \"" << json_escape(ri.fix_hint)
-            << "\"}, "
+            << "\"shortDescription\": {\"text\": " << json::quoted{ri.title}
+            << "}, \"help\": {\"text\": " << json::quoted{ri.fix_hint} << "}, "
             << "\"defaultConfiguration\": {\"level\": \""
             << sarif_level(ri.sev) << "\"}, "
-            << "\"properties\": {\"paperRef\": \""
-            << json_escape(ri.paper_ref) << "\"}}";
+            << "\"properties\": {\"paperRef\": " << json::quoted{ri.paper_ref}
+            << "}}";
     }
     out << "\n          ]\n"
         << "        }\n"
@@ -78,20 +63,19 @@ void render_sarif(const report& r, std::ostream& out) {
     for (std::size_t i = 0; i < findings.size(); ++i) {
         const finding& f = findings[i];
         out << (i == 0 ? "" : ",") << "\n        {"
-            << "\"ruleId\": \"" << json_escape(f.rule) << "\", "
+            << "\"ruleId\": " << json::quoted{f.rule} << ", "
             << "\"ruleIndex\": " << rule_index(f.rule) << ", "
             << "\"level\": \"" << sarif_level(f.sev) << "\", "
-            << "\"message\": {\"text\": \"" << json_escape(f.message)
-            << "\"}, "
-            << "\"locations\": [{\"logicalLocations\": [{\"name\": \""
-            << json_escape(f.kernel) << "\", \"fullyQualifiedName\": \""
-            << json_escape(f.kernel + "::" + f.object)
-            << "\", \"kind\": \"function\"}]}], "
+            << "\"message\": {\"text\": " << json::quoted{f.message} << "}, "
+            << "\"locations\": [{\"logicalLocations\": [{\"name\": "
+            << json::quoted{f.kernel} << ", \"fullyQualifiedName\": "
+            << json::quoted{f.kernel + "::" + f.object}
+            << ", \"kind\": \"function\"}]}], "
             << "\"partialFingerprints\": {\"altisSanitizeFingerprint/v1\": "
                "\""
             << fingerprint(f) << "\"}, "
-            << "\"properties\": {\"object\": \"" << json_escape(f.object)
-            << "\", \"fixHint\": \"" << json_escape(f.fix_hint) << "\"}}";
+            << "\"properties\": {\"object\": " << json::quoted{f.object}
+            << ", \"fixHint\": " << json::quoted{f.fix_hint} << "}}";
     }
     out << "\n      ]\n"
         << "    }\n"

@@ -6,6 +6,8 @@
 #include <iomanip>
 #include <ostream>
 
+#include "core/json.hpp"
+
 namespace altis {
 namespace {
 
@@ -173,36 +175,14 @@ void ResultDatabase::dump_summary(std::ostream& out) const {
 
 namespace {
 
-void json_escape(std::ostream& out, const std::string& s) {
-    out << '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\t': out << "\\t"; break;
-            default: out << c;
-        }
-    }
-    out << '"';
-}
-
-}  // namespace
-
-namespace {
-
 void dump_results_json(std::ostream& out, const std::vector<Result>& results,
                        const char* indent, const char* close_indent) {
     out << "[\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const Result& r = results[i];
-        out << indent << "{\"test\": ";
-        json_escape(out, r.test);
-        out << ", \"atts\": ";
-        json_escape(out, r.atts);
-        out << ", \"unit\": ";
-        json_escape(out, r.unit);
-        out << ", \"values\": [";
+        out << indent << "{\"test\": " << json::quoted{r.test}
+            << ", \"atts\": " << json::quoted{r.atts}
+            << ", \"unit\": " << json::quoted{r.unit} << ", \"values\": [";
         for (std::size_t v = 0; v < r.values.size(); ++v) {
             if (v > 0) out << ", ";
             if (is_failure(r.values[v]))
@@ -231,13 +211,11 @@ void ResultDatabase::dump_json(std::ostream& out) const {
     out << ",\n  \"outcomes\": [\n";
     for (std::size_t i = 0; i < outcomes_.size(); ++i) {
         const RunOutcome& oc = outcomes_[i];
-        out << "    {\"config\": ";
-        json_escape(out, oc.config);
-        out << ", \"status\": ";
-        json_escape(out, oc.status);
-        out << ", \"attempts\": " << oc.attempts << ", \"error\": ";
-        json_escape(out, oc.error);
-        out << "}" << (i + 1 < outcomes_.size() ? ",\n" : "\n");
+        out << "    {\"config\": " << json::quoted{oc.config}
+            << ", \"status\": " << json::quoted{oc.status}
+            << ", \"attempts\": " << oc.attempts
+            << ", \"error\": " << json::quoted{oc.error} << "}"
+            << (i + 1 < outcomes_.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";
 }

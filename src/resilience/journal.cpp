@@ -11,47 +11,11 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "core/json.hpp"
+
 namespace altis::resilience {
 
 namespace {
-
-// ---- writing --------------------------------------------------------------
-
-void append_escaped(std::string& out, const std::string& s) {
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
-/// Shortest round-tripping decimal form: the resumed sweep must reproduce
-/// the original doubles bit-for-bit or byte-identity is off the table.
-void append_double(std::string& out, double v) {
-    char buf[64];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    if (ec != std::errc{}) {
-        out += "0";
-        return;
-    }
-    out.append(buf, ptr);
-}
 
 // ---- parsing --------------------------------------------------------------
 
@@ -223,23 +187,23 @@ journal_series parse_series(cursor& c) {
 
 std::string to_line(const journal_entry& e) {
     std::string out = "{\"config\":";
-    append_escaped(out, e.config);
+    json::append_string(out, e.config);
     out += ",\"status\":";
-    append_escaped(out, e.status);
+    json::append_string(out, e.status);
     out += ",\"attempts\":" + std::to_string(e.attempts);
     out += ",\"backoff_ms\":";
-    append_double(out, e.backoff_ms);
+    json::append_double(out, e.backoff_ms);
     if (!e.error.empty()) {
         out += ",\"error\":";
-        append_escaped(out, e.error);
+        json::append_string(out, e.error);
     }
     if (e.value) {
         out += ",\"value\":";
-        append_double(out, *e.value);
+        json::append_double(out, *e.value);
     }
     if (!e.log.empty()) {
         out += ",\"log\":";
-        append_escaped(out, e.log);
+        json::append_string(out, e.log);
     }
     if (!e.results.empty()) {
         out += ",\"results\":[";
@@ -247,15 +211,15 @@ std::string to_line(const journal_entry& e) {
             const journal_series& s = e.results[i];
             if (i > 0) out += ',';
             out += "{\"test\":";
-            append_escaped(out, s.test);
+            json::append_string(out, s.test);
             out += ",\"atts\":";
-            append_escaped(out, s.atts);
+            json::append_string(out, s.atts);
             out += ",\"unit\":";
-            append_escaped(out, s.unit);
+            json::append_string(out, s.unit);
             out += ",\"values\":[";
             for (std::size_t j = 0; j < s.values.size(); ++j) {
                 if (j > 0) out += ',';
-                append_double(out, s.values[j]);
+                json::append_double(out, s.values[j]);
             }
             out += "]}";
         }
@@ -319,7 +283,7 @@ namespace {
 
 std::string header_line(const std::string& sweep) {
     std::string h = "{\"altis_journal\":1,\"sweep\":";
-    append_escaped(h, sweep);
+    json::append_string(h, sweep);
     h += "}\n";
     return h;
 }

@@ -4,6 +4,7 @@
 #include <map>
 #include <ostream>
 
+#include "core/json.hpp"
 #include "core/report.hpp"
 
 namespace altis::trace {
@@ -118,30 +119,10 @@ void render_profile(const profile_report& p, std::ostream& out) {
     out << "\n";
 }
 
-namespace {
-
-void write_escaped(std::ostream& out, const std::string& s) {
-    out << '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\t': out << "\\t"; break;
-            default: out << c;
-        }
-    }
-    out << '"';
-}
-
-}  // namespace
-
 void write_profile_json(const profile_report& p, std::ostream& out) {
-    out << "{\n  \"session\": ";
-    write_escaped(out, p.session_name);
-    out << ",\n  \"device\": ";
-    write_escaped(out, p.device);
-    out << ",\n  \"peak_gflops\": " << p.peak_gflops
+    out << "{\n  \"session\": " << json::quoted{p.session_name}
+        << ",\n  \"device\": " << json::quoted{p.device}
+        << ",\n  \"peak_gflops\": " << p.peak_gflops
         << ",\n  \"peak_gbs\": " << p.peak_gbs
         << ",\n  \"kernel_ns\": " << p.kernel_ns
         << ",\n  \"non_kernel_ns\": " << p.non_kernel_ns
@@ -149,17 +130,15 @@ void write_profile_json(const profile_report& p, std::ostream& out) {
         << ",\n  \"kernels\": [\n";
     for (std::size_t i = 0; i < p.kernels.size(); ++i) {
         const kernel_profile& k = p.kernels[i];
-        out << "    {\"name\": ";
-        write_escaped(out, k.name);
-        out << ", \"invocations\": " << k.invocations
+        out << "    {\"name\": " << json::quoted{k.name}
+            << ", \"invocations\": " << k.invocations
             << ", \"total_ns\": " << k.total_ns << ", \"mean_ns\": " << k.mean_ns
             << ", \"pct_of_kernel\": " << k.pct_of_kernel
             << ", \"gbs\": " << k.gbs << ", \"gflops\": " << k.gflops
             << ", \"compute_utilization\": " << k.compute_utilization
             << ", \"memory_utilization\": " << k.memory_utilization
-            << ", \"bound_by\": ";
-        write_escaped(out, to_string(k.bound));
-        out << ", \"in_dataflow\": " << (k.in_dataflow ? "true" : "false")
+            << ", \"bound_by\": " << json::quoted{to_string(k.bound)}
+            << ", \"in_dataflow\": " << (k.in_dataflow ? "true" : "false")
             << "}" << (i + 1 < p.kernels.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";

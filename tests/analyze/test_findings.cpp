@@ -82,7 +82,7 @@ TEST(Report, TextRenderingMentionsRuleAndCount) {
 
 TEST(Report, JsonRoundTripsThroughStrictParser) {
     report r;
-    r.add(make_finding("ALS-P1", "reader", "pipe \"in\"", "no writer"));
+    r.add(make_finding("ALS-P1", "reader", "pipe \"in\"", "no\rwriter\x01"));
     r.add(make_finding("ALS-L1", "pf_propagate", "", "pow(a,2)"));
     std::ostringstream out;
     r.render_json(out);
@@ -95,6 +95,7 @@ TEST(Report, JsonRoundTripsThroughStrictParser) {
     EXPECT_EQ(f1.at("rule").as_string(), "ALS-P1");
     EXPECT_EQ(f1.at("severity").as_string(), "error");
     EXPECT_EQ(f1.at("object").as_string(), "pipe \"in\"");
+    EXPECT_EQ(f1.at("message").as_string(), "no\rwriter\x01");
     for (const char* key :
          {"rule", "severity", "kernel", "object", "message", "fix_hint",
           "paper_ref", "fingerprint"})

@@ -16,7 +16,8 @@ namespace {
 report sample_report() {
     report r;
     r.add(make_finding("ALS-R1", "writer_a, writer_b", "mem#0[0..64)",
-                       "write by 'writer_a' and write by 'writer_b' overlap"));
+                       "write by 'writer_a' and write by 'writer_b' overlap"
+                       "\r\x01"));
     r.add(make_finding("ALS-L1", "pf_propagate", "", "pow(a,2)"));
     return r;
 }
@@ -45,6 +46,8 @@ TEST(Sarif, DocumentHasTheRequiredStructure) {
     const auto& r1 = results[1];
     EXPECT_EQ(r1.at("ruleId").as_string(), "ALS-R1");
     EXPECT_EQ(r1.at("level").as_string(), "error");
+    EXPECT_EQ(r1.at("message").at("text").as_string(),
+              "write by 'writer_a' and write by 'writer_b' overlap\r\x01");
     const auto& logical =
         r1.at("locations").as_array()[0].at("logicalLocations").as_array()[0];
     EXPECT_EQ(logical.at("name").as_string(), "writer_a, writer_b");

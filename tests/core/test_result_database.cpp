@@ -98,11 +98,12 @@ TEST(ResultDatabase, JsonDumpIsWellFormedAndEscaped) {
 
 TEST(ResultDatabase, JsonRoundTripsEscapesInAtts) {
     // Attribute strings carry free-form text (device names, size presets,
-    // file paths); quotes, backslashes and whitespace controls in them must
-    // come back unchanged through a strict JSON parser, and failure
-    // sentinels must encode as JSON null, not FLT_MAX.
+    // file paths); quotes, backslashes and control bytes in them must come
+    // back unchanged through a strict JSON parser, and failure sentinels
+    // must encode as JSON null, not FLT_MAX.
     ResultDatabase db;
-    const std::string atts = "path=C:\\altis\\\"run 1\"\tsize=2\nline";
+    const std::string atts =
+        "path=C:\\altis\\\"run 1\"\tsize=2\nline\rcr\x01" "ctl";
     db.add_result("back\\slash", atts, "ms", 1.5);
     db.add_failure("back\\slash", atts, "ms");
     std::ostringstream os;

@@ -65,15 +65,23 @@ TEST(Journal, LineRoundTripIsExact) {
 
 TEST(Journal, EscapesAndAbsentValueSurvive) {
     journal_entry e;
-    e.config = "weird \"config\"\\with\nnewline\tand\x01control";
+    e.config = "weird \"config\"\\with\nnewline\tand\x01control\rcr";
     e.status = "failed";
     e.error = "injected fault: alloc@1 on \"usm_host\"";
     e.value.reset();
-    const auto back = parse_line(to_line(e));
+    const std::string line = to_line(e);
+    EXPECT_NE(line.find("\\u000dcr"), std::string::npos) << line;
+    const auto back = parse_line(line);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->config, e.config);
     EXPECT_EQ(back->error, e.error);
     EXPECT_FALSE(back->value.has_value());
+    // Older journals wrote a carriage return as the two-character escape;
+    // a resume must still read them.
+    const auto old = parse_line(
+        R"({"config":"a\rb","status":"ok","attempts":1,"backoff_ms":0})");
+    ASSERT_TRUE(old.has_value());
+    EXPECT_EQ(old->config, "a\rb");
 }
 
 TEST(Journal, TornOrGarbageLinesParseToNothing) {
