@@ -1,9 +1,10 @@
 // Chrome trace-event exporter: serializes a session as the JSON object
 // format understood by Perfetto / chrome://tracing / speedscope. Spans
 // become complete ("ph":"X") duration events; timestamps are microseconds
-// with nanosecond precision preserved as fractions. Dataflow kernels land on
-// their own tracks (tid = lane + 1) so the Fig. 3 overlap is visible as
-// parallel bars; everything sequential shares the main track.
+// in the shortest form that parses back to the same double, so nanosecond
+// precision survives as fractions at any session length. Dataflow kernels
+// land on their own tracks (tid = lane + 1) so the Fig. 3 overlap is visible
+// as parallel bars; everything sequential shares the main track.
 #pragma once
 
 #include <iosfwd>
