@@ -377,6 +377,9 @@ int main(int argc, char** argv) {
     int argn = static_cast<int>(args.size());
     benchmark::Initialize(&argn, args.data());
     if (benchmark::ReportUnrecognizedArguments(argn, args.data())) return 1;
+    // google-benchmark's own library_build_type describes how the benchmark
+    // library was built; compare_bench.py gates on this repository's build.
+    benchmark::AddCustomContext("altis_build_type", CMAKE_BUILD_TYPE);
     // The recorded report doubles as a telemetry baseline: run the suite
     // under a metrics session and embed the snapshot, so compare_bench.py
     // can diff engine counters (pool busy ns, pipe parks, ...) alongside

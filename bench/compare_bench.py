@@ -24,7 +24,13 @@ snapshot, see docs/OBSERVABILITY.md). The gate:
     parks, ...) informationally, so a timing regression arrives with the
     counter shifts that usually explain it;
   * exits 0 with a note when the baseline is missing or unreadable (first
-    run of a new repo/branch has no previous artifact to compare against).
+    run of a new repo/branch has no previous artifact to compare against);
+  * exits 0 with a "not comparable" note when the two reports come from
+    different hosts or builds: `num_cpus` or `altis_build_type` (this
+    repository's CMAKE_BUILD_TYPE, recorded by ablation_runtime) differ.
+    A baseline older than `altis_build_type` is compared on `num_cpus`
+    alone. google-benchmark's own `library_build_type` says how the
+    benchmark library was built, not this repository, so it is ignored.
 """
 
 import argparse
@@ -80,6 +86,78 @@ def is_gated(name):
     return any(name.startswith(p) for p in GATED_PREFIXES)
 
 
+def context_mismatch(old_report, new_report):
+    """Why two reports cannot be compared ("" when they can)."""
+    old_ctx = old_report.get("context", {})
+    new_ctx = new_report.get("context", {})
+    keys = ["num_cpus"]
+    if "altis_build_type" in old_ctx:
+        keys.append("altis_build_type")
+    return ", ".join(f"{k} {old_ctx.get(k)} vs {new_ctx.get(k)}"
+                     for k in keys if old_ctx.get(k) != new_ctx.get(k))
+
+
+def gate(old_report, new_report, threshold=0.25, overlap_speedup=1.5):
+    """Compares two loaded reports; returns the process exit code."""
+    old_times = benchmark_times(old_report)
+    new_times = benchmark_times(new_report)
+    if not old_times:
+        print("compare_bench: baseline has no benchmarks; skipping gate")
+        return 0
+    mismatch = context_mismatch(old_report, new_report)
+    if mismatch:
+        print(f"compare_bench: not comparable: {mismatch}; skipping gate")
+        return 0
+
+    failures = []
+    for name in sorted(new_times):
+        if name not in old_times or old_times[name] <= 0:
+            print(f"  NEW    {name}: {new_times[name]:.1f} ns (no baseline)")
+            continue
+        delta = (new_times[name] - old_times[name]) / old_times[name]
+        tag = "GATED " if is_gated(name) else "      "
+        print(f"  {tag}{name}: {old_times[name]:.1f} -> "
+              f"{new_times[name]:.1f} ns ({delta:+.1%})")
+        if is_gated(name) and delta > threshold:
+            failures.append((name, delta))
+
+    old_metrics = metric_totals(old_report)
+    new_metrics = metric_totals(new_report)
+    shifts = []
+    for name in sorted(set(old_metrics) | set(new_metrics)):
+        ov, nv = old_metrics.get(name, 0.0), new_metrics.get(name, 0.0)
+        if ov == nv:
+            continue
+        rel = f" ({(nv - ov) / ov:+.1%})" if ov > 0 else ""
+        shifts.append(f"  {name}: {ov:.0f} -> {nv:.0f}{rel}")
+    if shifts:
+        print("engine telemetry shifts (informational):")
+        print("\n".join(shifts))
+
+    in_order = prefixed_time(new_times, "BM_GraphOverlapInOrder")
+    ooo = prefixed_time(new_times, "BM_GraphOverlapOOO")
+    if in_order is not None and ooo is not None and ooo > 0:
+        speedup = in_order / ooo
+        print(f"graph overlap: in-order {in_order:.1f} ns vs OOO "
+              f"{ooo:.1f} ns -> {speedup:.2f}x speedup "
+              f"(required >= {overlap_speedup:.2f}x)")
+        if speedup < overlap_speedup:
+            print(f"\ncompare_bench: out-of-order graph overlap speedup "
+                  f"{speedup:.2f}x is below the required "
+                  f"{overlap_speedup:.2f}x", file=sys.stderr)
+            return 1
+
+    if failures:
+        print(f"\ncompare_bench: {len(failures)} gated benchmark(s) "
+              f"regressed beyond +{threshold:.0%}:", file=sys.stderr)
+        for name, delta in failures:
+            print(f"  {name}: {delta:+.1%}", file=sys.stderr)
+        return 1
+    print(f"\ncompare_bench: OK (gated regressions within "
+          f"+{threshold:.0%})")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("old", help="baseline BENCH_runtime.json")
@@ -105,59 +183,7 @@ def main():
               file=sys.stderr)
         return 2
 
-    old_times = benchmark_times(old_report)
-    new_times = benchmark_times(new_report)
-    if not old_times:
-        print("compare_bench: baseline has no benchmarks; skipping gate")
-        return 0
-
-    failures = []
-    for name in sorted(new_times):
-        if name not in old_times or old_times[name] <= 0:
-            print(f"  NEW    {name}: {new_times[name]:.1f} ns (no baseline)")
-            continue
-        delta = (new_times[name] - old_times[name]) / old_times[name]
-        gate = "GATED " if is_gated(name) else "      "
-        print(f"  {gate}{name}: {old_times[name]:.1f} -> "
-              f"{new_times[name]:.1f} ns ({delta:+.1%})")
-        if is_gated(name) and delta > args.threshold:
-            failures.append((name, delta))
-
-    old_metrics = metric_totals(old_report)
-    new_metrics = metric_totals(new_report)
-    shifts = []
-    for name in sorted(set(old_metrics) | set(new_metrics)):
-        ov, nv = old_metrics.get(name, 0.0), new_metrics.get(name, 0.0)
-        if ov == nv:
-            continue
-        rel = f" ({(nv - ov) / ov:+.1%})" if ov > 0 else ""
-        shifts.append(f"  {name}: {ov:.0f} -> {nv:.0f}{rel}")
-    if shifts:
-        print("engine telemetry shifts (informational):")
-        print("\n".join(shifts))
-
-    in_order = prefixed_time(new_times, "BM_GraphOverlapInOrder")
-    ooo = prefixed_time(new_times, "BM_GraphOverlapOOO")
-    if in_order is not None and ooo is not None and ooo > 0:
-        speedup = in_order / ooo
-        print(f"graph overlap: in-order {in_order:.1f} ns vs OOO "
-              f"{ooo:.1f} ns -> {speedup:.2f}x speedup "
-              f"(required >= {args.overlap_speedup:.2f}x)")
-        if speedup < args.overlap_speedup:
-            print(f"\ncompare_bench: out-of-order graph overlap speedup "
-                  f"{speedup:.2f}x is below the required "
-                  f"{args.overlap_speedup:.2f}x", file=sys.stderr)
-            return 1
-
-    if failures:
-        print(f"\ncompare_bench: {len(failures)} gated benchmark(s) "
-              f"regressed beyond +{args.threshold:.0%}:", file=sys.stderr)
-        for name, delta in failures:
-            print(f"  {name}: {delta:+.1%}", file=sys.stderr)
-        return 1
-    print(f"\ncompare_bench: OK (gated regressions within "
-          f"+{args.threshold:.0%})")
-    return 0
+    return gate(old_report, new_report, args.threshold, args.overlap_speedup)
 
 
 if __name__ == "__main__":
