@@ -117,7 +117,7 @@ void write_json(const snapshot& snap,
                 const std::vector<sampled_series>& series,
                 std::ostream& out) {
     out << "{\n  \"session\": " << json::quoted{snap.session_name};
-    out << ",\n  \"duration_ns\": " << snap.duration_ns;
+    out << ",\n  \"duration_ns\": " << json::number{snap.duration_ns};
     out << ",\n  \"metrics\": [\n";
     bool first = true;
     for (const metric_value& m : snap.metrics) {
@@ -166,7 +166,7 @@ void write_json(const snapshot& snap,
         for (const auto& [t, v] : s.samples) {
             if (!sf) out << ", ";
             sf = false;
-            out << '[' << t << ", " << v << ']';
+            out << '[' << json::number{t} << ", " << json::number{v} << ']';
         }
         out << "]}";
     }
@@ -187,7 +187,8 @@ void write_chrome_counter_events(const std::vector<sampled_series>& series,
             out << ",\n    {\"name\": " << json::quoted{s.info.name};
             // ts is microseconds; wall-clock ns survive as fractions.
             out << ", \"ph\": \"C\", \"ts\": " << json::number{t / 1e3}
-                << ", \"pid\": 2, \"args\": {\"value\": " << v << "}}";
+                << ", \"pid\": 2, \"args\": {\"value\": " << json::number{v}
+                << "}}";
         }
     }
 }

@@ -94,7 +94,8 @@ TEST(JsonExport, RoundTripsThroughStrictParser) {
 
     snapshot snap;
     snap.session_name = "json \"quoted\"\nname";
-    snap.duration_ns = 1.5e9;
+    // Beyond six significant digits: operator<< would print 1.23457e+09.
+    snap.duration_ns = 1234567891.5;
     snap.metrics.push_back(make_value("a_total", instrument_kind::counter, 3));
     snap.metrics.push_back(make_value("level", instrument_kind::gauge, -2));
     metric_value hist = make_value("sizes", instrument_kind::histogram, 0);
@@ -104,14 +105,14 @@ TEST(JsonExport, RoundTripsThroughStrictParser) {
     sampled_series series;
     series.info.name = "level";
     series.info.kind = instrument_kind::gauge;
-    series.samples = {{0.0, 1.0}, {5e6, 2.0}};
+    series.samples = {{0.0, 1.0}, {5e6, 2.0}, {1234567891.5, 987654321.25}};
 
     std::ostringstream out;
     write_json(snap, {series}, out);
 
     const mini_json::value root = mini_json::parse(out.str());
     EXPECT_EQ(root.at("session").as_string(), "json \"quoted\"\nname");
-    EXPECT_DOUBLE_EQ(root.at("duration_ns").as_number(), 1.5e9);
+    EXPECT_DOUBLE_EQ(root.at("duration_ns").as_number(), 1234567891.5);
 
     const auto& metrics = root.at("metrics").as_array();
     ASSERT_EQ(metrics.size(), 3u);
@@ -132,9 +133,11 @@ TEST(JsonExport, RoundTripsThroughStrictParser) {
     ASSERT_EQ(ser.size(), 1u);
     EXPECT_EQ(ser[0].at("name").as_string(), "level");
     const auto& samples = ser[0].at("samples").as_array();
-    ASSERT_EQ(samples.size(), 2u);
+    ASSERT_EQ(samples.size(), 3u);
     EXPECT_DOUBLE_EQ(samples[1].as_array()[0].as_number(), 5e6);
     EXPECT_DOUBLE_EQ(samples[1].as_array()[1].as_number(), 2.0);
+    EXPECT_DOUBLE_EQ(samples[2].as_array()[0].as_number(), 1234567891.5);
+    EXPECT_DOUBLE_EQ(samples[2].as_array()[1].as_number(), 987654321.25);
 }
 
 TEST(ChromeCounters, EmitsCounterEventsUnderMetricsPid) {
