@@ -106,16 +106,17 @@ struct node {
     std::vector<pipe_endpoint> pipes{};
     perf::kernel_stats stats{};
     const perf::device_spec* device = nullptr;
-    /// Shadow-store actor of this kernel submission (-1: none recorded);
-    /// joins the node's declared ranges to its observed accesses (ALS-D1).
+    /// Shadow-store actor of this kernel submission or graph copy (-1: none
+    /// recorded); joins a kernel's declared ranges to its observed accesses
+    /// (ALS-D1).
     int actor = -1;
     /// Analytic descriptor recorded by simulate_region (bench path): only
     /// the perf-lint rules apply -- there is no real command order, no
     /// buffers and no pipe identities behind it.
     bool simulated = false;
     /// Submitted to an out-of-order graph queue: command order in this log
-    /// does not imply execution order (ordering is captured as real
-    /// happens-before edges in the shadow store instead). Read only by
+    /// does not imply execution order (the shadow store orders the node's
+    /// actor after its dependency edges instead). Read only by
     /// ALS-L5, which judges graph joins by `pending`, not program order.
     bool ooo = false;
     /// Wait nodes on out-of-order queues: commands pending in the graph when

@@ -73,27 +73,30 @@ void recorder::on_event(const stream::event& e) {
         return;
     }
     if (e.simulated) return;  // an analytic region has no command order
-    timeline_state t;
-    {
-        std::lock_guard lock(mu_);
-        if (e.what == kind::open) {
-            timelines_[e.timeline] = {next_queue_++, e.device, -1};
-            return;
-        }
-        const auto it = timelines_.find(e.timeline);
-        if (it == timelines_.end()) return;
-        if (e.what == kind::close) {
-            timelines_.erase(it);
-            return;
-        }
-        if (e.what == kind::group_begin) it->second.group = next_group_++;
-        t = it->second;
-        if (e.what == kind::group_end) it->second.group = -1;
+    std::lock_guard lock(mu_);
+    if (e.what == kind::open) {
+        timelines_[e.timeline] = {.queue = next_queue_++, .device = e.device};
+        return;
     }
-    // On an out-of-order queue (e.graph) the submission log is not an
-    // execution order, so happens-before comes from the scheduler's real
-    // edges (dep_actors) instead of the in-order queue-clock chaining.
+    const auto it = timelines_.find(e.timeline);
+    if (it == timelines_.end()) return;
+    timeline_state& t = it->second;
+    const auto join_unjoined = [&] {
+        shadow_->join_host(t.unjoined);
+        t.unjoined.clear();
+    };
+    // One happens-before rule for every engine: each command is an actor
+    // that starts after a set of actors, and each synchronization is a host
+    // join of a set. Only the set differs: a sequential command starts after
+    // the queue's unjoined actors and then stands in for them, a dataflow
+    // member after those as they stood at group_begin, and a graph node
+    // (e.graph) after its real dependency edges (dep_actors).
     switch (e.what) {
+        case kind::close: timelines_.erase(it); break;
+        case kind::group_begin:
+            t.group = next_group_++;
+            t.group_after = t.unjoined;
+            break;
         case kind::submit: {
             node n{.kind = node_kind::kernel, .cg = e.cg,
                    .kernel = e.stats->name, .queue = t.queue,
@@ -101,85 +104,56 @@ void recorder::on_event(const stream::event& e) {
                    .accesses = std::move(*e.accesses),
                    .pipes = std::move(*e.pipes), .stats = *e.stats,
                    .device = t.device, .ooo = e.graph};
-            if (!e.graph) {
-                add_node(std::move(n));
-                break;
-            }
-            {
-                std::lock_guard lock(mu_);
-                if (n.cg != 0) {
-                    cg_kernel_[n.cg] = n.kernel;
-                    const auto it = cg_actor_.find(n.cg);
-                    if (it != cg_actor_.end()) n.actor = it->second;
-                }
-                for (const mem_access& a : n.accesses)
-                    shadow_->register_region(a.base, a.bytes);
-                if (n.actor > 0) ooo_members_[n.queue].push_back(n.actor);
-            }
-            if (n.actor > 0) {
+            const auto a = cg_actor_.find(n.cg);
+            if (a != cg_actor_.end()) {
+                n.actor = a->second;
                 shadow_->name_actor(n.actor, n.kernel);
-                shadow_->on_submit_graph(n.actor, *e.dep_actors);
+                shadow_->start(n.actor, e.graph      ? *e.dep_actors
+                                        : e.dataflow ? t.group_after
+                                                     : t.unjoined);
+                if (!e.graph && !e.dataflow) t.unjoined.clear();
+                t.unjoined.push_back(n.actor);
             }
-            std::lock_guard lock(mu_);
-            graph_.nodes.push_back(std::move(n));
+            add_node_locked(std::move(n));
             break;
         }
         case kind::transfer: {
             if (!e.graph && e.base == nullptr) break;  // timing-only
             const bool in = e.to_device;
-            const access mode = in ? access::write : access::read;
             node n{.kind = in ? node_kind::transfer_in
                               : node_kind::transfer_out,
                    .queue = t.queue,
-                   .accesses = {{e.base, bytes, mode, mem_kind::buffer}},
+                   .accesses = {{e.base, bytes,
+                                 in ? access::write : access::read,
+                                 mem_kind::buffer}},
                    .ooo = e.graph};
-            if (!e.graph) {
-                shadow_->on_transfer(e.base, bytes, in);
-                add_node(std::move(n));
-                break;
+            int actor = shadow::kHostActor;
+            if (e.graph) {
+                // A graph copy runs asynchronously as its own actor.
+                const auto a = cg_actor_.find(e.cg);
+                actor = n.actor =
+                    a != cg_actor_.end() ? a->second : shadow::kNoActor;
+                shadow_->name_actor(actor, in ? "transfer_in" : "transfer_out");
+                shadow_->start(actor, *e.dep_actors);
+                t.unjoined.push_back(actor);
             }
-            // The copy gets its own shadow actor, ordered after its deps;
-            // the scheduler needs it back before releasing the node.
-            n.actor = *e.actor = shadow_->new_actor();
-            shadow_->name_actor(n.actor, in ? "transfer_in" : "transfer_out");
-            shadow_->on_transfer_graph(n.actor, *e.dep_actors, e.base, bytes,
-                                       in);
-            shadow_->register_region(e.base, bytes);
-            std::lock_guard lock(mu_);
-            ooo_members_[t.queue].push_back(n.actor);
-            graph_.nodes.push_back(std::move(n));
+            shadow_->on_transfer(actor, e.base, bytes, in);
+            add_node_locked(std::move(n));
             break;
         }
         case kind::wait:
             // The graph wait node carries how many commands the join had in
             // front of it (ALS-L5); its host join is the epoch event before.
-            if (!e.graph) shadow_->on_wait(t.queue);
-            add_node({.kind = node_kind::wait, .queue = t.queue,
-                      .ooo = e.graph, .pending = e.pending});
+            if (!e.graph) join_unjoined();
+            add_node_locked({.kind = node_kind::wait, .queue = t.queue,
+                             .ooo = e.graph, .pending = e.pending});
             break;
-        case kind::epoch: {
-            // The host joins every outstanding member of the queue's graph.
-            std::vector<int> members;
-            {
-                std::lock_guard lock(mu_);
-                const auto it = ooo_members_.find(t.queue);
-                if (it != ooo_members_.end()) {
-                    members = std::move(it->second);
-                    ooo_members_.erase(it);
-                }
-            }
-            shadow_->on_host_join(members);
-            break;
-        }
+        case kind::epoch: join_unjoined(); break;
         case kind::group_end:
-            // Workers drained: close the group's happens-before edges.
-            if (t.group >= 0) {
-                std::lock_guard lock(mu_);
-                const auto it = group_members_.find(t.group);
-                shadow_->on_group_end(t.queue, it != group_members_.end()
-                                                   ? it->second
-                                                   : std::vector<int>{});
-            }
+            // Workers joined: the host is ordered after the whole group. A
+            // group the gate refused launched nothing and joins nothing.
+            if (t.group >= 0) join_unjoined();
+            t.group = -1;
             break;
         default: break;
     }
@@ -229,27 +203,21 @@ void recorder::retire(std::uint64_t cg) {
 
 void recorder::add_node(node n) {
     std::lock_guard lock(mu_);
+    add_node_locked(std::move(n));
+}
+
+void recorder::add_node_locked(node n) {
     if (n.kind == node_kind::kernel && n.cg != 0)
         cg_kernel_[n.cg] = n.kernel;
-    if (!n.simulated) {
-        // Declared ranges anchor the stable "mem#N" labels findings use.
+    // Declared ranges anchor the stable "mem#N" labels findings use.
+    if (!n.simulated)
         for (const mem_access& a : n.accesses)
             shadow_->register_region(a.base, a.bytes);
-        if (n.kind == node_kind::kernel && n.cg != 0) {
-            const auto it = cg_actor_.find(n.cg);
-            if (it != cg_actor_.end()) {
-                n.actor = it->second;
-                shadow_->name_actor(n.actor, n.kernel);
-                shadow_->on_submit(n.actor, n.queue, n.group >= 0);
-                if (n.group >= 0) group_members_[n.group].push_back(n.actor);
-            }
-        }
-    }
     graph_.nodes.push_back(std::move(n));
 }
 
 void recorder::record_host_join_actor(int actor) {
-    if (actor > 0) shadow_->on_host_join({actor});
+    if (actor > 0) shadow_->join_host({&actor, 1});
 }
 
 void recorder::record_simulated_kernel(const perf::kernel_stats& stats,

@@ -5,9 +5,19 @@
 // threads -- and entirely passive: with no recorder current, the runtime
 // behaves (and times) exactly as before the analyzer existed.
 //
+// Happens-before is one rule for every queue engine. Each command (kernel or
+// graph copy) is a shadow actor that starts after a set of actors, and each
+// synchronization is a host join of a set. Per queue the recorder keeps the
+// actors the host has not joined yet:
+//   - a sequential submission starts after that list, then replaces it;
+//   - a dataflow member starts after the list as it stood at group_begin;
+//   - a graph node starts after its dependency edges (dep_actors);
+//   - an in-order wait, a group_end and a graph epoch join the list and
+//     clear it; event::wait joins the one node's actor.
+//
 // Three hooks stay direct calls rather than events, because they hand out
 // identity or change what runs: begin_command_group (with its retire), the
-// shadow-actor binding around kernel execution, and the pre-launch pipe
+// shadow-actor binding around command execution, and the pre-launch pipe
 // gate (gate_dataflow).
 #pragma once
 
@@ -50,8 +60,9 @@ public:
         /// execution so observed accesses attribute to this kernel.
         int actor = -1;
     };
-    /// Opens a command group: assigns the next id and a live lifetime token
-    /// for the accessors the group hands out.
+    /// Opens a command group (a kernel's, or a graph copy's): assigns the
+    /// next id, the shadow actor and a live lifetime token for the
+    /// accessors the group hands out.
     cg_handle begin_command_group();
     /// Marks the group's accessors stale (kernel finished or group dropped).
     void retire(std::uint64_t cg);
@@ -106,9 +117,15 @@ private:
         int queue = 0;  ///< ordinal: nodes never correlate across queues
         const perf::device_spec* device = nullptr;
         int group = -1;  ///< open dataflow group (-1: none)
+        /// Actors submitted here that the host has not joined yet.
+        std::vector<int> unjoined{};
+        /// `unjoined` as it stood at group_begin: what every member of the
+        /// open dataflow group starts after.
+        std::vector<int> group_after{};
     };
 
     void add_node(node n);
+    void add_node_locked(node n);  ///< caller holds mu_
     /// Kernel nodes of one dataflow group (the pre-launch gate's input).
     [[nodiscard]] std::vector<node> group_nodes(int group) const;
 
@@ -123,11 +140,8 @@ private:
     std::unordered_map<std::uint64_t, probe::cg_token*> live_tokens_;
     std::unordered_map<std::uint64_t, std::string> cg_kernel_;
     std::unordered_map<std::uint64_t, int> cg_actor_;
-    std::unordered_map<int, std::vector<int>> group_members_;
     /// Observed queues by stream timeline id.
     std::unordered_map<int, timeline_state> timelines_;
-    /// Actors submitted to a queue's out-of-order graph since its last join.
-    std::unordered_map<int, std::vector<int>> ooo_members_;
     /// (cg, base) pairs already reported by the probe (dedup).
     std::vector<std::pair<std::uint64_t, const void*>> stale_reported_;
 };

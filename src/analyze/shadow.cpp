@@ -286,63 +286,25 @@ void set_current_store(store* s) {
 
 }  // namespace detail
 
-void store::on_submit(int actor, int queue, bool dataflow) {
+void store::start(int actor, std::span<const int> after) {
     detail::flush_thread(this);
     std::lock_guard lock(mu_);
     if (actor <= 0 || actor >= static_cast<int>(actor_clock_.size())) return;
     vector_clock& k = actor_clock_[actor];
     k.join(actor_clock_[kHostActor]);  // host clock *before* its tick
-    k.join(queue_clock_[queue]);
-    k.tick(static_cast<std::size_t>(actor));
-    dirty_locked(actor);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-    // In-order queues: a sequential submission chains the queue clock
-    // through the kernel, so the next submission (and wait()) sees it.
-    if (!dataflow) queue_clock_[queue] = k;
-}
-
-void store::on_submit_graph(int actor, const std::vector<int>& dep_actors) {
-    detail::flush_thread(this);
-    std::lock_guard lock(mu_);
-    if (actor <= 0 || actor >= static_cast<int>(actor_clock_.size())) return;
-    vector_clock& k = actor_clock_[actor];
-    k.join(actor_clock_[kHostActor]);
-    // The scheduler only starts this node after every dependency completed,
-    // so everything a dependency did -- including what it has not flushed
-    // yet, stamped with a clock no newer than read here -- happens-before
-    // this kernel. Joining the dependency's current clock is therefore a
-    // sound (possibly under-approximating, never over-approximating) edge.
-    for (const int d : dep_actors)
-        if (d > 0 && d < static_cast<int>(actor_clock_.size()))
-            k.join(actor_clock_[d]);
+    // Every command in `after` completes before this one runs, so what it
+    // did -- even what it has not flushed yet, stamped with a clock no newer
+    // than read here -- happens-before this command.
+    for (const int a : after)
+        if (a > 0 && a < static_cast<int>(actor_clock_.size()))
+            k.join(actor_clock_[a]);
     k.tick(static_cast<std::size_t>(actor));
     dirty_locked(actor);
     actor_clock_[kHostActor].tick(kHostActor);
     dirty_locked(kHostActor);
 }
 
-void store::on_transfer_graph(int actor, const std::vector<int>& dep_actors,
-                              const void* base, std::size_t bytes,
-                              bool write) {
-    detail::flush_thread(this);
-    std::lock_guard lock(mu_);
-    if (actor <= 0 || actor >= static_cast<int>(actor_clock_.size())) return;
-    vector_clock& k = actor_clock_[actor];
-    k.join(actor_clock_[kHostActor]);
-    for (const int d : dep_actors)
-        if (d > 0 && d < static_cast<int>(actor_clock_.size()))
-            k.join(actor_clock_[d]);
-    k.tick(static_cast<std::size_t>(actor));
-    dirty_locked(actor);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-    const auto lo = reinterpret_cast<std::uint64_t>(base);
-    const byte_range r{lo, lo + bytes};
-    if (r.lo < r.hi) add_locked(actor, write, {&r, 1});
-}
-
-void store::on_host_join(const std::vector<int>& actors) {
+void store::join_host(std::span<const int> actors) {
     detail::flush_thread(this);
     std::lock_guard lock(mu_);
     for (const int a : actors)
@@ -352,35 +314,13 @@ void store::on_host_join(const std::vector<int>& actors) {
     dirty_locked(kHostActor);
 }
 
-void store::on_group_end(int queue, const std::vector<int>& members) {
-    detail::flush_thread(this);
-    std::lock_guard lock(mu_);
-    vector_clock& q = queue_clock_[queue];
-    for (const int m : members)
-        if (m > 0 && m < static_cast<int>(actor_clock_.size()))
-            q.join(actor_clock_[m]);
-    // end_dataflow() joins the worker threads, so -- unlike a bare kernel
-    // submission, which only synchronizes at wait() -- the host really is
-    // ordered after every member here.
-    actor_clock_[kHostActor].join(q);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-}
-
-void store::on_wait(int queue) {
-    detail::flush_thread(this);
-    std::lock_guard lock(mu_);
-    actor_clock_[kHostActor].join(queue_clock_[queue]);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-}
-
-void store::on_transfer(const void* base, std::size_t bytes, bool write) {
+void store::on_transfer(int actor, const void* base, std::size_t bytes,
+                        bool write) {
     detail::flush_thread(this);
     std::lock_guard lock(mu_);
     const auto lo = reinterpret_cast<std::uint64_t>(base);
     const byte_range r{lo, lo + bytes};
-    if (r.lo < r.hi) add_locked(kHostActor, write, {&r, 1});
+    if (r.lo < r.hi) add_locked(actor, write, {&r, 1});
 }
 
 void store::register_region(const void* base, std::size_t bytes) {

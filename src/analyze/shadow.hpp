@@ -2,8 +2,11 @@
 // race rules. While a sanitize session is active, accessor element accesses,
 // instrumented USM reads/writes (observe_read/observe_write) and buffer
 // transfers are recorded as byte intervals, each stamped with the vector
-// clock of the actor that made it; pipe counter publications add the
-// happens-before edges that order them.
+// clock of the actor that made it. Every command is an actor; three events
+// order them: a command starts after a set of actors (start), the host
+// joins a set (join_host), and pipe counter publications order a consumer
+// after its producer. Which set each queue engine passes is the recorder's
+// choice (recorder.hpp).
 //
 // Cost model (mirrors metrics::collecting()): with no recorder current the
 // hooks are one relaxed atomic load and a never-taken branch -- no shadow
@@ -19,11 +22,12 @@
 // race passes read, and never a raw log.
 //
 // Soundness invariant: an actor's clock is only ever advanced from the
-// actor's own thread (pipe publish/consume) or from the host thread for the
-// host's own clock (submit/wait), and every such event first flushes the
-// calling thread's runs and unions. A pool worker flushes before its job
-// retires, while the job's actor waits for the drain. Accesses therefore
-// reach the store under the exact clock they were made under.
+// actor's own thread (pipe publish/consume) or from the host thread, for the
+// host's own clock (join_host) or a command that has not run yet (start),
+// and every such event first flushes the calling thread's runs and unions. A
+// pool worker flushes before its job retires, while the job's actor waits
+// for the drain. Accesses therefore reach the store under the exact clock
+// they were made under.
 #pragma once
 
 #include <atomic>
@@ -191,36 +195,21 @@ public:
 
     // ---- clock events (called by the recorder on the host thread) ----
 
-    /// Allocates the next actor ordinal (kernel submissions).
+    /// Allocates the next actor ordinal (one per command).
     int new_actor();
     /// Names an actor after its kernel (reported in findings).
     void name_actor(int actor, const std::string& kernel);
-    /// Kernel submission: K = join(host, Q[queue]); tick K; tick host.
-    /// Sequential submissions then chain the queue clock through the kernel
-    /// (Q = K); dataflow members leave Q untouched until on_group_end.
-    void on_submit(int actor, int queue, bool dataflow);
-    /// Out-of-order submission: K = join(host, dep actors...); tick K; tick
-    /// host. No queue-clock chaining -- on an OOO queue the only ordering is
-    /// the graph's real edges, so two edge-free kernels stay concurrent and
-    /// ALS-R1 sees exactly the schedules the scheduler may produce.
-    void on_submit_graph(int actor, const std::vector<int>& dep_actors);
-    /// Out-of-order transfer: the copy runs asynchronously under its own
-    /// actor, ordered after its graph dependencies; the copied range is
-    /// recorded under that actor's clock (not the host's).
-    void on_transfer_graph(int actor, const std::vector<int>& dep_actors,
-                           const void* base, std::size_t bytes, bool write);
-    /// Graph join (queue::wait / event::wait / buffer write-back on an OOO
-    /// queue): the host joins the given actors' clocks, then ticks.
-    void on_host_join(const std::vector<int>& actors);
-    /// Dataflow group joined: Q[queue] absorbs every member's final clock,
-    /// and the host joins Q -- end_dataflow() joins the worker threads, so
-    /// the host is genuinely ordered after the whole group.
-    void on_group_end(int queue, const std::vector<int>& members);
-    /// queue::wait(): host joins Q[queue], then ticks.
-    void on_wait(int queue);
-    /// Host-side transfer touching [base, base+bytes): recorded as a host
-    /// observed access under the current host clock.
-    void on_transfer(const void* base, std::size_t bytes, bool write);
+    /// The command `actor` starts: it joins the host clock and the current
+    /// clock of every actor in `after` (the commands it runs after), then
+    /// ticks; then the host ticks.
+    void start(int actor, std::span<const int> after);
+    /// The host synchronized with `actors`: it joins their clocks, then
+    /// ticks.
+    void join_host(std::span<const int> actors);
+    /// A copy touching [base, base+bytes), recorded as an access by `actor`
+    /// (the host, or a graph copy's own actor) under its current clock.
+    void on_transfer(int actor, const void* base, std::size_t bytes,
+                     bool write);
     /// Registers a declared memory region (accessor span, USM allocation,
     /// observe_* target): the source of the stable "mem#N" labels findings
     /// use instead of raw (ASLR-dependent) pointers.
@@ -292,7 +281,6 @@ private:
     std::vector<int> clock_id_;               ///< cached intern id, -1 dirty
     std::vector<std::string> actor_name_;
     std::vector<vector_clock> clocks_;        ///< interned snapshots
-    std::unordered_map<int, vector_clock> queue_clock_;
     std::vector<region> regions_;
     /// Exact union per stamp: sorted, disjoint, non-adjacent ranges.
     std::map<stamp, std::vector<byte_range>> unions_;

@@ -89,15 +89,13 @@ struct event {
     double bytes = 0.0;
     bool to_device = false;
     std::uint64_t generation = 0;  ///< USM block generation
-    std::uint64_t cg = 0;          ///< command group (submit)
+    std::uint64_t cg = 0;          ///< command group (submit, graph copy)
     bool dataflow = false;         ///< submitted inside a dataflow group
     /// Declared accesses and pipe endpoints of a submission; the sanitizer
     /// takes them (they are the handler's, which is done with them).
     std::vector<analyze::mem_access>* accesses = nullptr;
     std::vector<analyze::pipe_endpoint>* pipes = nullptr;
     const std::vector<int>* dep_actors = nullptr;  ///< shadow actors of deps
-    /// Graph transfers: the sanitizer writes the copy's shadow actor here.
-    int* actor = nullptr;
     /// Dataflow group members and their lane durations (group_end).
     const std::vector<perf::kernel_stats>* members = nullptr;
     const std::vector<double>* durations = nullptr;

@@ -353,13 +353,12 @@ ticket scheduler::enqueue(submission s) {
     return t;
 }
 
-void scheduler::release(std::uint64_t id, int actor) {
+void scheduler::release(std::uint64_t id) {
     std::vector<std::uint64_t> newly_ready;
     {
         std::lock_guard lock(state_->mu);
         node_rec* n = state_->find(id);
         if (n == nullptr || n->state != node_state::held) return;
-        if (actor >= 0) n->actor = actor;
         n->state = node_state::pending;
         if (--n->unmet == 0) state_->make_ready(*n, newly_ready);
     }

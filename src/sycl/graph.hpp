@@ -16,7 +16,10 @@
 // the host thread in submission order -- the modeled timeline is identical
 // no matter how wall-clock execution interleaves); the queue finishes its
 // bookkeeping (observer events, events log) and then release()s the node for
-// dispatch. Nothing can run before its shadow-clock edges exist.
+// dispatch. A node's shadow actor is fixed before enqueue (kernels and
+// copies alike open a command group first), and the sanitizer starts it
+// after the actors of its resolved edges (ticket::dep_actors) on its
+// observer event, so nothing runs before its shadow-clock edges exist.
 //
 // fault/resilience integration: every node runs through
 // detail::run_command (sycl/command.hpp) at *dispatch*, so a deadline
@@ -91,9 +94,7 @@ public:
     [[nodiscard]] ticket enqueue(submission s);
     /// Makes a held node dispatchable. Must be called exactly once per
     /// enqueue, after the caller finished its submit-side bookkeeping.
-    /// `actor >= 0` backfills the node's shadow actor -- transfer nodes only
-    /// learn theirs from the recorder after enqueue resolved their edges.
-    void release(std::uint64_t id, int actor = -1);
+    void release(std::uint64_t id);
 
     /// Joins the whole graph: the calling thread runs ready nodes until
     /// every node of the current epoch settled.

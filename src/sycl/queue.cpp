@@ -46,8 +46,7 @@ struct latency_guard {
 struct release_guard {
     graph::scheduler* sched;
     std::uint64_t id;
-    int actor = -1;
-    ~release_guard() { sched->release(id, actor); }
+    ~release_guard() { sched->release(id); }
 };
 
 }  // namespace
@@ -250,17 +249,23 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
     s.ranges.push_back({dst_ptr, bytes, true});
     s.submit_ns = submit;
     s.duration_ns = dur;
+    // Like a kernel, the copy takes its shadow actor from a command group
+    // opened before it is enqueued.
+    const analyze::recorder::cg_handle cg =
+        recorder_ != nullptr ? recorder_->begin_command_group()
+                             : analyze::recorder::cg_handle{};
+    s.cg = cg.id;
+    s.actor = cg.actor;
     s.recorder = recorder_;
     const graph::ticket t = sched_->enqueue(std::move(s));
 
-    // Lane 1 is the modeled PCIe lane. The sanitizer hands back the copy's
-    // shadow actor for the release.
+    // Lane 1 is the modeled PCIe lane.
     release_guard release{sched_.get(), t.id};
     emit({.what = kind::transfer, .graph = true, .t0 = t.start_ns,
           .t1 = t.end_ns, .label = "transfer", .lane = t.lane, .cmd = t.id,
           .deps = &t.deps, .base = to_device ? dst_ptr : src_ptr,
           .bytes = static_cast<double>(bytes), .to_device = to_device,
-          .dep_actors = &t.dep_actors, .actor = &release.actor});
+          .cg = cg.id, .dep_actors = &t.dep_actors});
     return {submit, t.start_ns, t.end_ns, std::string(), t.id,
             sched_->state()};
 }

@@ -165,27 +165,43 @@ TEST(Races, R1SilentForDisjointSpansOfOneBuffer) {
 }
 
 TEST(Races, R1SilentAcrossSequentialSubmissions) {
-    recorder rec;
-    {
-        recorder::scope scope(rec);
-        syclite::queue q("xeon_6128");
-        syclite::buffer<int> buf(16);
-        for (int k = 0; k < 2; ++k) {
+    // Plain: real element writes through the accessor, same bytes. Piped:
+    // the first kernel publishes a token before writing, and the second
+    // reads it before reading -- the pipe ticks of the first kernel must not
+    // hide its later write from the in-order edge.
+    for (const bool piped : {false, true}) {
+        recorder rec;
+        {
+            recorder::scope scope(rec);
+            syclite::queue q("xeon_6128");
+            syclite::buffer<int> buf(16);
+            syclite::pipe<int> ch(8, "seq_token");
             q.submit([&](syclite::handler& h) {
-                auto a =
-                    h.get_access(buf, syclite::access_mode::read_write);
-                h.single_task(named(k == 0 ? "first" : "second"), [a] {
+                auto a = h.get_access(buf, syclite::access_mode::read_write);
+                if (piped) h.writes_pipe(ch, 1.0, 1.0);
+                h.single_task(named("seq_producer"), [a, &ch, piped] {
+                    if (piped) ch.write(1);
                     for (std::size_t i = 0; i < 16; ++i) a[i] = 1;
                 });
             });
+            q.submit([&](syclite::handler& h) {
+                auto a = h.get_access(buf, syclite::access_mode::read_write);
+                if (piped) h.reads_pipe(ch, 1.0, 1.0);
+                h.single_task(named("seq_consumer"), [a, &ch, piped] {
+                    if (piped) (void)ch.read();
+                    for (std::size_t i = 0; i < 16; ++i) a[i] = a[i] + 1;
+                });
+            });
+            q.wait();
         }
-        q.wait();
+        // An in-order queue orders each submission after everything the
+        // previous one did.
+        const report r = run_all(rec);
+        EXPECT_FALSE(has_rule(r, "ALS-R1"))
+            << "piped=" << piped << "\n" << render(r);
+        EXPECT_FALSE(has_rule(r, "ALS-D1"))
+            << "piped=" << piped << "\n" << render(r);
     }
-    // An in-order queue chains each submission's clock into the next: real
-    // element writes through the accessor, same bytes, still ordered.
-    const report r = run_all(rec);
-    EXPECT_FALSE(has_rule(r, "ALS-R1")) << render(r);
-    EXPECT_FALSE(has_rule(r, "ALS-D1")) << render(r);
 }
 
 TEST(Races, R1FiresOnHostCopyRacingADeviceWrite) {
@@ -207,22 +223,31 @@ TEST(Races, R1FiresOnHostCopyRacingADeviceWrite) {
 }
 
 TEST(Races, R1SilentWhenTheHostWaitsBeforeCopying) {
-    recorder rec;
-    std::vector<int> host(16, 0);
-    {
-        recorder::scope scope(rec);
-        syclite::queue q("xeon_6128");
-        syclite::buffer<int> buf(16);
-        q.submit([&](syclite::handler& h) {
-            auto a = h.get_access(buf, syclite::access_mode::write);
-            h.single_task(named("dirtier"), [a] {
-                for (std::size_t i = 0; i < 16; ++i) a[i] = 7;
+    // Piped: the kernel writes a pipe item before the buffer, so the buffer
+    // write happens after the kernel's clock ticked past its start.
+    for (const bool piped : {false, true}) {
+        recorder rec;
+        std::vector<int> host(16, 0);
+        {
+            recorder::scope scope(rec);
+            syclite::queue q("xeon_6128");
+            syclite::buffer<int> buf(16);
+            syclite::pipe<int> ch(8, "wait_token");
+            q.submit([&](syclite::handler& h) {
+                auto a = h.get_access(buf, syclite::access_mode::write);
+                if (piped) h.writes_pipe(ch, 1.0, 1.0);
+                h.single_task(named("dirtier"), [a, &ch, piped] {
+                    if (piped) ch.write(1);
+                    for (std::size_t i = 0; i < 16; ++i) a[i] = 7;
+                });
             });
-        });
-        q.wait();
-        q.copy_from_device(buf, host.data());
+            q.wait();
+            q.copy_from_device(buf, host.data());
+        }
+        const report r = run_all(rec);
+        EXPECT_FALSE(has_rule(r, "ALS-R1"))
+            << "piped=" << piped << "\n" << render(r);
     }
-    EXPECT_FALSE(has_rule(run_all(rec), "ALS-R1"));
 }
 
 TEST(Races, R1SilentAfterADataflowGroupJoin) {
