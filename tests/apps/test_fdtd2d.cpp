@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/fnv1a.hpp"
+
 namespace altis::apps::fdtd2d {
 namespace {
 
@@ -22,6 +24,27 @@ TEST(Fdtd2d, SourceRowIsDriven) {
     golden(p, f);
     // ey row 0 carries the source of the last step.
     for (std::size_t j = 0; j < p.ny; ++j) EXPECT_FLOAT_EQ(f.ey[j], 2.0f);
+}
+
+// The oracle's row updates run on the thread pool; each cell's arithmetic is
+// unchanged and every pass reads only fields the previous pass finished, so
+// the output bytes must match the serial reference exactly. Digests pinned
+// from the serial implementation.
+TEST(Fdtd2d, GoldenOutputIsBitIdenticalToSerialReference) {
+    const std::uint64_t pinned[][3] = {
+        {0x2dc6782a37710b4aULL, 0xdbd240cb1a4afb54ULL, 0x4ed42c03bc1d0fa5ULL},
+        {0x736492e33a721a7fULL, 0x8115c18821e48e2dULL, 0x9e169eb6c4f2465aULL}};
+    for (int size = 1; size <= 2; ++size) {
+        const params p = params::preset(size);
+        fields f = initial_fields(p);
+        golden(p, f);
+        EXPECT_EQ(support::fnv1a<float>(f.ex), pinned[size - 1][0])
+            << "size " << size;
+        EXPECT_EQ(support::fnv1a<float>(f.ey), pinned[size - 1][1])
+            << "size " << size;
+        EXPECT_EQ(support::fnv1a<float>(f.hz), pinned[size - 1][2])
+            << "size " << size;
+    }
 }
 
 struct Case {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/fnv1a.hpp"
+
 namespace altis::apps::kmeans {
 namespace {
 
@@ -36,6 +38,19 @@ TEST(Kmeans, GoldenIsDeterministic) {
     const clustering b = golden(p, data);
     EXPECT_EQ(a.assignment, b.assignment);
     EXPECT_EQ(a.centers, b.centers);
+}
+
+// The oracle's nearest-center map runs on the thread pool; each point's
+// distance arithmetic is unchanged and the accumulation stays serial in point
+// order, so the output bytes must match the serial reference exactly.
+// Digests pinned from the serial implementation. Size 1 only: size 2
+// (centers 0x4175684db246ce09, assignment 0xa3762a2927a22325) takes over a
+// second.
+TEST(Kmeans, GoldenOutputIsBitIdenticalToSerialReference) {
+    const params p = params::preset(1);
+    const clustering c = golden(p, make_dataset(p));
+    EXPECT_EQ(support::fnv1a<float>(c.centers), 0xf70a3515ee5fb124ULL);
+    EXPECT_EQ(support::fnv1a<int>(c.assignment), 0x5dde5014ce5a2325ULL);
 }
 
 struct Case {

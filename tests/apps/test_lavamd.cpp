@@ -8,6 +8,8 @@
 #include "apps/common/verify.hpp"
 #include "perf/resource_model.hpp"
 
+#include "support/fnv1a.hpp"
+
 namespace altis::apps::lavamd {
 namespace {
 
@@ -24,6 +26,21 @@ TEST(Lavamd, GoldenForcesAreFiniteAndNonTrivial) {
         energy += f.energy;
     }
     EXPECT_GT(energy, 0.0);  // exp(-u2)*q > 0 for every pair
+}
+
+// The oracle's home boxes run on the thread pool; each box walks its
+// neighbours in the same order and writes only its own particles, so the
+// output bytes must match the serial reference exactly. Digests pinned from
+// the serial implementation.
+TEST(Lavamd, GoldenOutputIsBitIdenticalToSerialReference) {
+    const std::uint64_t pinned[] = {0xeaac2a73ef20ff7eULL,
+                                    0x3f67b085e609c914ULL};
+    for (int size = 1; size <= 2; ++size) {
+        const params p = params::preset(size);
+        const std::vector<force> forces = golden(p, make_particles(p));
+        EXPECT_EQ(support::fnv1a<force>(forces), pinned[size - 1])
+            << "size " << size;
+    }
 }
 
 TEST(Lavamd, InteriorParticlesSeeMoreNeighbors) {

@@ -8,6 +8,8 @@
 #include "apps/common/verify.hpp"
 #include "perf/resource_model.hpp"
 
+#include "support/fnv1a.hpp"
+
 namespace altis::apps::particlefilter {
 namespace {
 
@@ -30,6 +32,33 @@ TEST(ParticleFilter, GoldenDeterministic) {
     const estimate b = golden(p, flavor::naive, video);
     EXPECT_EQ(a.xe, b.xe);
     EXPECT_EQ(a.ye, b.ye);
+}
+
+// The oracle's per-particle loops (propagate/weight, normalize, resample)
+// run on the thread pool; each particle's arithmetic is unchanged and the
+// chunked sums and the CDF scan stay serial, so the output bytes must match
+// the serial reference exactly. Digests pinned from the serial
+// implementation. The float flavour at size 2 (xe 0x9858870ed8d9f395, ye
+// 0xf56fcae837815de8) is left out: it takes over a second.
+TEST(ParticleFilter, GoldenOutputIsBitIdenticalToSerialReference) {
+    struct pin {
+        flavor f;
+        int size;
+        std::uint64_t xe, ye;
+    };
+    const pin pinned[] = {
+        {flavor::naive, 1, 0xb5b73d263372a334ULL, 0x7489b8ba42135d05ULL},
+        {flavor::naive, 2, 0xe983bdcd0d886203ULL, 0xaf2b75e2e770a52bULL},
+        {flavor::floatopt, 1, 0xb2bf4238b843f36cULL, 0xa603dacc2a7e8769ULL},
+    };
+    for (const pin& want : pinned) {
+        const params p = params::preset(want.size, want.f);
+        const estimate e = golden(p, want.f, make_video(p));
+        EXPECT_EQ(support::fnv1a<float>(e.xe), want.xe)
+            << "flavour " << static_cast<int>(want.f) << " size " << want.size;
+        EXPECT_EQ(support::fnv1a<float>(e.ye), want.ye)
+            << "flavour " << static_cast<int>(want.f) << " size " << want.size;
+    }
 }
 
 struct Case {

@@ -7,6 +7,8 @@
 
 #include "apps/common/verify.hpp"
 
+#include "support/fnv1a.hpp"
+
 namespace altis::apps::raytracing {
 namespace {
 
@@ -51,6 +53,30 @@ TEST(Raytracing, GoldenImageIsPlausible) {
     mean /= static_cast<double>(img.size());
     EXPECT_GT(mean, 0.05);  // not black
     EXPECT_LT(mean, 0.98);  // not blown out
+}
+
+// The oracle's image rows run on the thread pool; each pixel's samples are
+// drawn and traced exactly as in a serial sweep, so the output bytes must
+// match the serial reference exactly. Digests pinned from the serial
+// implementation.
+TEST(Raytracing, GoldenOutputIsBitIdenticalToSerialReference) {
+    struct pin {
+        rng_kind kind;
+        int size;
+        std::uint64_t digest;
+    };
+    const pin pinned[] = {
+        {rng_kind::xorwow, 1, 0x2a52d9b7a2b02887ULL},
+        {rng_kind::philox, 1, 0xcb12be8a304a93b3ULL},
+        {rng_kind::xorwow, 2, 0xa7651dcdb570f37bULL},
+        {rng_kind::philox, 2, 0xba90ad2531d302dfULL},
+    };
+    for (const pin& want : pinned) {
+        const std::vector<vec3> image =
+            golden(params::preset(want.size), want.kind);
+        EXPECT_EQ(support::fnv1a<vec3>(image), want.digest)
+            << "rng " << static_cast<int>(want.kind) << " size " << want.size;
+    }
 }
 
 // The two generators produce different images of the same scene whose
