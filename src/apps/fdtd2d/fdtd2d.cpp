@@ -4,6 +4,7 @@
 
 #include "apps/common/verify.hpp"
 #include "sycl/syclite.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace altis::apps::fdtd2d {
 
@@ -40,22 +41,29 @@ float fict(int t) { return static_cast<float>(t); }
 }  // namespace
 
 void golden(const params& p, fields& f) {
+    // Each row update writes only its own row. The ey and ex updates read
+    // only hz, so they share one pooled pass; the hz update then reads the
+    // finished ey and ex. Every cell's arithmetic, and the bits, match a
+    // serial sweep.
+    sl::thread_pool& pool = sl::thread_pool::global();
     const std::size_t nx = p.nx, ny = p.ny;
     for (int t = 0; t < p.steps; ++t) {
         for (std::size_t j = 0; j < ny; ++j) f.ey[j] = fict(t);
-        for (std::size_t i = 1; i < nx; ++i)
-            for (std::size_t j = 0; j < ny; ++j)
-                f.ey[i * ny + j] -=
-                    0.5f * (f.hz[i * ny + j] - f.hz[(i - 1) * ny + j]);
-        for (std::size_t i = 0; i < nx; ++i)
+        pool.parallel_for(nx, [&](std::size_t i) {
+            if (i > 0)
+                for (std::size_t j = 0; j < ny; ++j)
+                    f.ey[i * ny + j] -=
+                        0.5f * (f.hz[i * ny + j] - f.hz[(i - 1) * ny + j]);
             for (std::size_t j = 1; j < ny; ++j)
                 f.ex[i * ny + j] -=
                     0.5f * (f.hz[i * ny + j] - f.hz[i * ny + j - 1]);
-        for (std::size_t i = 0; i + 1 < nx; ++i)
+        });
+        pool.parallel_for(nx > 0 ? nx - 1 : 0, [&](std::size_t i) {
             for (std::size_t j = 0; j + 1 < ny; ++j)
                 f.hz[i * ny + j] -=
                     0.7f * (f.ex[i * ny + j + 1] - f.ex[i * ny + j] +
                             f.ey[(i + 1) * ny + j] - f.ey[i * ny + j]);
+        });
     }
 }
 

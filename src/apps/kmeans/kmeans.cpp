@@ -7,6 +7,7 @@
 #include "apps/common/verify.hpp"
 #include "rng/philox.hpp"
 #include "sycl/syclite.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace altis::apps::kmeans {
 
@@ -88,9 +89,13 @@ clustering golden(const params& p, const dataset& data) {
     out.centers = data.initial_centers;
     out.assignment.assign(p.n, 0);
     for (int iter = 0; iter < p.iterations; ++iter) {
-        for (std::size_t i = 0; i < p.n; ++i)
+        // The assignment is a per-point map, so it runs on the pool; the
+        // accumulation stays serial in point order, so the bits match a
+        // serial sweep.
+        sl::thread_pool::global().parallel_for(p.n, [&](std::size_t i) {
             out.assignment[i] = nearest_center(&data.points[i * p.d],
                                                out.centers.data(), p.k, p.d);
+        });
         accumulate_and_finalize(p, data.points.data(), out.assignment.data(),
                                 out.centers.data());
     }

@@ -5,6 +5,7 @@
 #include "apps/common/verify.hpp"
 #include "rng/philox.hpp"
 #include "sycl/syclite.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace altis::apps::lavamd {
 
@@ -73,27 +74,29 @@ void for_each_neighbor(const params& p, std::size_t bx, std::size_t by,
 
 std::vector<force> golden(const params& p, std::span<const particle> particles) {
     std::vector<force> out(p.particles(), force{0, 0, 0, 0});
-    for (std::size_t bz = 0; bz < p.boxes1d; ++bz)
-        for (std::size_t by = 0; by < p.boxes1d; ++by)
-            for (std::size_t bx = 0; bx < p.boxes1d; ++bx) {
-                const std::size_t home =
-                    (bz * p.boxes1d + by) * p.boxes1d + bx;
-                for_each_neighbor(p, bx, by, bz, [&](std::size_t nb) {
-                    for (std::size_t i = 0; i < kParPerBox; ++i) {
-                        const std::size_t ai = home * kParPerBox + i;
-                        force acc = out[ai];
-                        for (std::size_t j = 0; j < kParPerBox; ++j) {
-                            const force f = pair_force(
-                                particles[ai], particles[nb * kParPerBox + j]);
-                            acc.fx += f.fx;
-                            acc.fy += f.fy;
-                            acc.fz += f.fz;
-                            acc.energy += f.energy;
-                        }
-                        out[ai] = acc;
-                    }
-                });
+    // A home box writes only its own particles and walks its neighbours in
+    // the fixed order, so home boxes run on the pool with the bits of a
+    // serial sweep.
+    const std::size_t n1 = p.boxes1d;
+    sl::thread_pool::global().parallel_for(n1 * n1 * n1, [&](std::size_t home) {
+        const std::size_t bx = home % n1, by = home / n1 % n1,
+                          bz = home / (n1 * n1);
+        for_each_neighbor(p, bx, by, bz, [&](std::size_t nb) {
+            for (std::size_t i = 0; i < kParPerBox; ++i) {
+                const std::size_t ai = home * kParPerBox + i;
+                force acc = out[ai];
+                for (std::size_t j = 0; j < kParPerBox; ++j) {
+                    const force f = pair_force(particles[ai],
+                                               particles[nb * kParPerBox + j]);
+                    acc.fx += f.fx;
+                    acc.fy += f.fy;
+                    acc.fz += f.fz;
+                    acc.energy += f.energy;
+                }
+                out[ai] = acc;
             }
+        });
+    });
     return out;
 }
 

@@ -6,6 +6,7 @@
 #include "apps/common/verify.hpp"
 #include "rng/philox.hpp"
 #include "sycl/syclite.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace altis::apps::particlefilter {
 
@@ -151,28 +152,31 @@ namespace {
 
 /// One full SIR update for frame t, in the canonical order. Used verbatim by
 /// golden; the device path reproduces each stage as a kernel with the same
-/// arithmetic and the same chunked reductions.
+/// arithmetic and the same chunked reductions. The per-particle maps run on
+/// the pool; the chunked sums and the CDF scan stay serial in their fixed
+/// order, so the bits match a serial sweep.
 void sir_frame(const params& p, flavor f, std::span<const std::uint8_t> video,
                int t, filter_state& s, float& xe, float& ye) {
     const std::size_t n = p.particles;
     const bool use_pow = false;  // golden mirrors the migrated a*a form
     (void)f;
+    sl::thread_pool& pool = sl::thread_pool::global();
 
     std::vector<float> lik(n), wx(n), wy(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    pool.parallel_for(n, [&](std::size_t i) {
         s.x[i] += 1.0f + gaussian(p.seed, static_cast<std::uint32_t>(i),
                                   static_cast<std::uint32_t>(t), 1u);
         s.y[i] += 1.0f + gaussian(p.seed, static_cast<std::uint32_t>(i),
                                   static_cast<std::uint32_t>(t), 3u);
         lik[i] = likelihood(video, p, t, s.x[i], s.y[i], use_pow);
         s.w[i] = s.w[i] * std::exp(lik[i] / 40.0f);
-    }
+    });
     const float wsum = chunked_sum(s.w.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
+    pool.parallel_for(n, [&](std::size_t i) {
         s.w[i] /= wsum;
         wx[i] = s.w[i] * s.x[i];
         wy[i] = s.w[i] * s.y[i];
-    }
+    });
     xe = chunked_sum(wx.data(), n);
     ye = chunked_sum(wy.data(), n);
 
@@ -187,7 +191,7 @@ void sir_frame(const params& p, flavor f, std::span<const std::uint8_t> video,
         uniform(p.seed, 0u, static_cast<std::uint32_t>(t), 5u) /
         static_cast<float>(n);
     std::vector<float> nx(n), ny(n);
-    for (std::size_t j = 0; j < n; ++j) {
+    pool.parallel_for(n, [&](std::size_t j) {
         const float uj =
             u1 + static_cast<float>(j) / static_cast<float>(n);
         // First index with cdf >= uj. The naive device kernel scans
@@ -199,7 +203,7 @@ void sir_frame(const params& p, flavor f, std::span<const std::uint8_t> video,
                             : static_cast<std::size_t>(it - cdf.begin());
         nx[j] = s.x[idx];
         ny[j] = s.y[idx];
-    }
+    });
     s.x = std::move(nx);
     s.y = std::move(ny);
     std::fill(s.w.begin(), s.w.end(), 1.0f / static_cast<float>(n));

@@ -6,6 +6,7 @@
 #include "rng/philox.hpp"
 #include "rng/xorwow.hpp"
 #include "sycl/syclite.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace altis::apps::raytracing {
 
@@ -279,10 +280,14 @@ std::vector<sphere> make_scene() {
 std::vector<vec3> golden(const params& p, rng_kind kind) {
     const std::vector<sphere> scene = make_scene();
     std::vector<vec3> image(p.pixels());
-    for (std::size_t py = 0; py < p.height; ++py)
+    // Rows are independent and every pixel seeds its own sampler, so they
+    // run on the pool; each pixel's value is the same render_pixel call as
+    // in a serial sweep.
+    sl::thread_pool::global().parallel_for(p.height, [&](std::size_t py) {
         for (std::size_t px = 0; px < p.width; ++px)
             image[py * p.width + px] = render_pixel(
                 p, scene.data(), scene.size(), kind, px, py, nullptr);
+    });
     return image;
 }
 

@@ -1,9 +1,12 @@
 #include "apps/srad/srad.hpp"
 
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "apps/common/verify.hpp"
 #include "sycl/syclite.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace altis::apps::srad {
 
@@ -39,15 +42,24 @@ struct stats2 {
 };
 
 /// Image statistics in chunked order (matches the device reduction exactly).
-stats2 image_stats_chunked(const float* img, std::size_t n, std::size_t chunk) {
-    double sum = 0.0, sum2 = 0.0;
-    for (std::size_t c0 = 0; c0 < n; c0 += chunk) {
+/// Each chunk's float partials are independent, so they run on the pool into
+/// `partials` (one slot per chunk, owned by the caller); the fold into the
+/// double sums stays serial in chunk order, so the bits never depend on
+/// scheduling.
+stats2 image_stats_chunked(const float* img, std::size_t n, std::size_t chunk,
+                           std::span<std::array<float, 2>> partials) {
+    sl::thread_pool::global().parallel_for(partials.size(), [&](std::size_t c) {
         float s = 0.0f, s2 = 0.0f;  // per-chunk float accumulation
+        const std::size_t c0 = c * chunk;
         const std::size_t c1 = std::min(c0 + chunk, n);
         for (std::size_t i = c0; i < c1; ++i) {
             s += img[i];
             s2 += img[i] * img[i];
         }
+        partials[c] = {s, s2};
+    });
+    double sum = 0.0, sum2 = 0.0;
+    for (const auto& [s, s2] : partials) {
         sum += s;
         sum2 += s2;
     }
@@ -67,7 +79,7 @@ T* whole(const sl::accessor<T>& a) {
 }
 
 /// One diffusion step; `c` and the four derivative arrays are scratch.
-/// Shared verbatim between golden (serial loops) and the device kernels.
+/// Shared verbatim between golden (pooled rows) and the device kernels.
 void diffusion_coefficients(std::size_t rows, std::size_t cols, float q0sqr,
                             const float* J, float* c, float* dN, float* dS,
                             float* dW, float* dE, std::size_t i, std::size_t j) {
@@ -112,21 +124,30 @@ void diffusion_update(std::size_t rows, std::size_t cols, float lambda,
 }  // namespace
 
 void golden(const params& p, std::vector<float>& image) {
+    // Both stencil passes are per-cell maps (a cell writes only its own
+    // outputs and reads what the previous pass finished), so their rows run
+    // on the pool with every cell's arithmetic, and the bits, unchanged.
+    sl::thread_pool& pool = sl::thread_pool::global();
     std::vector<float> c(p.cells()), dN(p.cells()), dS(p.cells()),
         dW(p.cells()), dE(p.cells());
+    std::vector<std::array<float, 2>> partials((p.cells() + kChunk - 1) /
+                                               kChunk);
     for (int iter = 0; iter < p.iterations; ++iter) {
-        const stats2 st = image_stats_chunked(image.data(), p.cells(), kChunk);
+        const stats2 st =
+            image_stats_chunked(image.data(), p.cells(), kChunk, partials);
         const float q0sqr = st.var / (st.mean * st.mean);
-        for (std::size_t i = 0; i < p.rows; ++i)
+        pool.parallel_for(p.rows, [&](std::size_t i) {
             for (std::size_t j = 0; j < p.cols; ++j)
                 diffusion_coefficients(p.rows, p.cols, q0sqr, image.data(),
                                        c.data(), dN.data(), dS.data(),
                                        dW.data(), dE.data(), i, j);
-        for (std::size_t i = 0; i < p.rows; ++i)
+        });
+        pool.parallel_for(p.rows, [&](std::size_t i) {
             for (std::size_t j = 0; j < p.cols; ++j)
                 diffusion_update(p.rows, p.cols, p.lambda, image.data(),
                                  c.data(), dN.data(), dS.data(), dW.data(),
                                  dE.data(), i, j);
+        });
     }
 }
 
