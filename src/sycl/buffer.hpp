@@ -1,11 +1,11 @@
 // Buffers and accessors. Buffers own host-side storage (this reproduction
 // executes functionally on the host; device residency is simulated by the
-// perf models). Accessors optionally count element accesses so property
-// tests can validate the byte counts declared in kernel_stats descriptors
-// against the real access stream (DESIGN.md Sec. 4).
+// perf models). Under a sanitize session accessors record every element
+// access and span() view in the shadow store; the CleanApps tests check the
+// byte counts declared in kernel_stats descriptors against that observed
+// footprint (DESIGN.md Sec. 4).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -32,38 +32,6 @@ enum class access_mode { read, write, read_write, discard_write };
 struct no_init_t {};
 inline constexpr no_init_t no_init{};
 
-namespace detail {
-
-/// Global switch for access counting; off by default (hot-path cost is one
-/// predictable branch). Enable via scoped_access_counting in tests.
-inline std::atomic<bool> counting_enabled{false};
-/// Nesting depth of scoped_access_counting enablers: counting stays on until
-/// the outermost scope closes, so nested helpers cannot switch a caller's
-/// counting off behind its back.
-inline std::atomic<int> counting_depth{0};
-
-struct access_counter {
-    std::atomic<std::uint64_t> accesses{0};
-};
-
-}  // namespace detail
-
-/// RAII enabler for accessor access-counting. Scopes may nest (and may sit
-/// on different threads); counting is on while at least one scope is alive.
-class scoped_access_counting {
-public:
-    scoped_access_counting() {
-        if (detail::counting_depth.fetch_add(1) == 0)
-            detail::counting_enabled.store(true);
-    }
-    ~scoped_access_counting() {
-        if (detail::counting_depth.fetch_sub(1) == 1)
-            detail::counting_enabled.store(false);
-    }
-    scoped_access_counting(const scoped_access_counting&) = delete;
-    scoped_access_counting& operator=(const scoped_access_counting&) = delete;
-};
-
 struct use_host_ptr_t {};
 inline constexpr use_host_ptr_t use_host_ptr{};
 
@@ -83,9 +51,6 @@ public:
     accessor() = default;
 
     T& operator[](std::size_t i) const {
-        if (detail::counting_enabled.load(std::memory_order_relaxed) &&
-            counter_ != nullptr)
-            counter_->accesses.fetch_add(1, std::memory_order_relaxed);
         if (token_ != nullptr) {
             // Both probes live behind the token: it is only bound while a
             // sanitize session is active, so the untracked hot path stays
@@ -105,8 +70,7 @@ public:
     /// probes the lifetime token and records the whole range once, in the
     /// accessor's mode, so the shadow sees every byte the kernel may touch
     /// through the span; without one it is the same never-taken branch as
-    /// operator[]. It does not feed the access counter: a view is not an
-    /// element access.
+    /// operator[].
     [[nodiscard]] std::span<T> span(std::size_t lo, std::size_t n) const {
         if (token_ != nullptr) record_view(lo, n);
         return {ptr_ + lo, n};
@@ -118,9 +82,8 @@ public:
 private:
     friend class buffer<T>;
     friend class handler;
-    accessor(T* ptr, std::size_t count, access_mode mode,
-             detail::access_counter* counter)
-        : ptr_(ptr), count_(count), mode_(mode), counter_(counter) {}
+    accessor(T* ptr, std::size_t count, access_mode mode)
+        : ptr_(ptr), count_(count), mode_(mode) {}
 
     /// span()'s sanitize path, kept out of line: inlined six times into an
     /// srad work-item it cost 40 % more CPU on the unobserved run.
@@ -139,7 +102,6 @@ private:
     T* ptr_ = nullptr;
     std::size_t count_ = 0;
     access_mode mode_ = access_mode::read_write;
-    detail::access_counter* counter_ = nullptr;
     const altis::analyze::probe::cg_token* token_ = nullptr;
 };
 
@@ -222,13 +184,8 @@ public:
     [[nodiscard]] const T* host_data() const { return data_; }
 
     [[nodiscard]] accessor<T> access(access_mode mode) {
-        return accessor<T>(data_, count_, mode, &counter_);
+        return accessor<T>(data_, count_, mode);
     }
-
-    [[nodiscard]] std::uint64_t access_count() const {
-        return counter_.accesses.load();
-    }
-    void reset_access_count() { counter_.accesses.store(0); }
 
 private:
     buffer(std::size_t count, detail::fill f)
@@ -271,7 +228,6 @@ private:
     std::size_t count_ = 0;
     T* data_ = nullptr;
     T* writeback_ = nullptr;
-    detail::access_counter counter_;
     /// Bytes charged to the live-bytes gauge at construction (0 when metrics
     /// were off), and the session epoch the charge belongs to.
     std::uint64_t metered_bytes_ = 0;

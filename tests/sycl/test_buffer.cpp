@@ -46,41 +46,14 @@ TEST(Accessor, ReadsAndWritesThroughToStorage) {
     EXPECT_FLOAT_EQ(r[3], 6.0f);
 }
 
-TEST(Accessor, CountingDisabledByDefault) {
-    buffer<int> b(8);
-    auto acc = b.access(access_mode::read_write);
-    for (std::size_t i = 0; i < 8; ++i) acc[i] = 1;
-    EXPECT_EQ(b.access_count(), 0u);
-}
-
-TEST(Accessor, CountsAccessesWhenEnabled) {
-    buffer<int> b(8);
-    auto acc = b.access(access_mode::read_write);
-    {
-        scoped_access_counting counting;
-        for (std::size_t i = 0; i < 8; ++i) acc[i] = 1;
-        int sum = 0;
-        for (std::size_t i = 0; i < 8; ++i) sum += acc[i];
-        EXPECT_EQ(sum, 8);
-    }
-    EXPECT_EQ(b.access_count(), 16u);
-    // Counting stops outside the scope.
-    acc[0] = 2;
-    EXPECT_EQ(b.access_count(), 16u);
-    b.reset_access_count();
-    EXPECT_EQ(b.access_count(), 0u);
-}
-
-TEST(Accessor, GetPointerMatchesHostData) {
+TEST(Accessor, SpanViewsHostStorage) {
     // span() is the accessor's one pointer escape: it views the host
-    // storage, and taking a view is not an element access.
+    // storage.
     buffer<double> b(3);
     const accessor<double> acc = b.access(access_mode::read);
-    scoped_access_counting counting;
     EXPECT_EQ(acc.span(0, 3).data(), b.host_data());
     EXPECT_EQ(acc.span(1, 2).data(), b.host_data() + 1);
     EXPECT_EQ(acc.span(1, 2).size(), 2u);
-    EXPECT_EQ(b.access_count(), 0u);
 }
 
 // ---- altis::mem-backed storage ----
