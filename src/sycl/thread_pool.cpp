@@ -1,5 +1,7 @@
 #include "sycl/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -20,6 +22,17 @@ namespace {
             .count());
 }
 
+/// CPUs the calling thread may run on: its affinity mask, so a run pinned
+/// with taskset sizes its pool to the CPUs it got. Falls back to
+/// hardware_concurrency() if the mask cannot be read.
+[[nodiscard]] unsigned usable_cpus() {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&mask));
+    return std::thread::hardware_concurrency();
+}
+
 /// Bridge handed to altis::mem so large host<->device copies fan out as
 /// chunked memcpy jobs on the global pool. A plain function pointer keeps
 /// mem free of a link dependency on syclite.
@@ -34,8 +47,8 @@ void pool_copy_runner(std::size_t n, void (*fn)(void*, std::size_t),
 thread_pool::thread_pool(unsigned threads) {
     unsigned n = threads;
     if (n == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        n = hw > 1 ? hw - 1 : 0;
+        const unsigned cpus = usable_cpus();
+        n = cpus > 1 ? cpus - 1 : 0;
     }
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)

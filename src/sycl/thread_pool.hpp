@@ -24,7 +24,9 @@ namespace syclite {
 class thread_pool {
 public:
     /// `threads` counts the workers in addition to the calling thread;
-    /// 0 requests std::thread::hardware_concurrency() - 1.
+    /// 0 requests one fewer than the CPUs in the calling thread's affinity
+    /// mask (sched_getaffinity), or than hardware_concurrency() if the mask
+    /// cannot be read.
     explicit thread_pool(unsigned threads = 0);
     ~thread_pool();
 

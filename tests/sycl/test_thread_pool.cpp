@@ -1,7 +1,9 @@
 #include "sycl/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <numeric>
@@ -27,7 +29,7 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
 }
 
 TEST(ThreadPool, WorksWithZeroWorkers) {
-    // 0 means hardware_concurrency() - 1 workers: caller-only on 1-core
+    // 0 means one worker fewer than the usable CPUs: caller-only on 1-core
     // hosts, real workers elsewhere, so the sum must be atomic.
     thread_pool pool(0);
     std::atomic<std::size_t> sum{0};
@@ -35,6 +37,30 @@ TEST(ThreadPool, WorksWithZeroWorkers) {
         sum.fetch_add(i, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 4950u);
+}
+
+TEST(ThreadPool, SizesItselfFromTheAffinityMask) {
+    // A thread pinned to one CPU gets a caller-only pool, however many CPUs
+    // the host has. Only this thread's mask is narrowed, and it is restored.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    unsigned workers = 0;
+    std::vector<int> hits(1000, 0);
+    {
+        thread_pool pool(0);
+        workers = pool.worker_count();
+        pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(workers, 0u);
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+              static_cast<std::ptrdiff_t>(hits.size()));
 }
 
 TEST(ThreadPool, ReusableAcrossManyJobs) {
