@@ -245,8 +245,8 @@ BENCHMARK(BM_AllocChurnSystem)
     ->Arg(256)->Arg(64 << 10)->Arg(1 << 20)->Arg(64 << 20);
 
 /// Host->device upload of range(0) floats, the cudaMemcpy H2D shape. The
-/// fast path pairs a recycled no_init buffer with mem::copy_bytes: one
-/// memcpy into warm pages.
+/// fast path pairs a recycled no_init buffer with thread_pool::copy: warm
+/// pages, filled in 2 MiB chunks on the pool from 4 MiB up.
 void BM_TransferUpload(benchmark::State& state) {
     queue q("xeon_6128");
     const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -7,6 +7,7 @@
 
 #include "analyze/sanitize.hpp"
 #include "analyze/sarif.hpp"
+#include "core/artifact.hpp"
 #include "core/option_parser.hpp"
 
 namespace altis::analyze {
@@ -65,22 +66,14 @@ int finish(const recorder& rec, const options& opt, std::ostream& out,
             const std::string label = "sanitize " + f.rule + ": " + f.message;
             stream::emit({.what = stream::kind::finding, .label = label});
         }
-    if (!opt.json_path.empty()) {
-        std::ofstream f(opt.json_path);
-        if (!f) {
-            err << "error: cannot write " << opt.json_path << "\n";
-            return 2;
-        }
-        r.render_json(f);
-    }
-    if (!opt.sarif_path.empty()) {
-        std::ofstream f(opt.sarif_path);
-        if (!f) {
-            err << "error: cannot write " << opt.sarif_path << "\n";
-            return 2;
-        }
-        render_sarif(r, f);
-    }
+    if (!opt.json_path.empty() &&
+        !write_artifact(opt.json_path, "sanitize", err,
+                        [&](std::ostream& f) { r.render_json(f); }))
+        return 2;
+    if (!opt.sarif_path.empty() &&
+        !write_artifact(opt.sarif_path, "sanitize", err,
+                        [&](std::ostream& f) { render_sarif(r, f); }))
+        return 2;
     return opt.lv == level::error && r.count_at_least(severity::warning) > 0
                ? 1
                : 0;

@@ -1,9 +1,9 @@
 #include "metrics/options.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <ostream>
 
+#include "core/artifact.hpp"
 #include "metrics/export.hpp"
 
 namespace altis::metrics {
@@ -37,39 +37,20 @@ bool finish_metrics(session& s, const options& opt, std::ostream& out,
 
     bool ok = true;
     if (!opt.prom_path.empty()) {
-        std::ofstream f(opt.prom_path);
-        if (!f) {
-            err << "metrics: cannot open " << opt.prom_path
-                << " for writing\n";
+        if (write_artifact(opt.prom_path, "metrics", err,
+                           [&](std::ostream& f) { write_prometheus(snap, f); }))
+            out << "metrics: wrote " << snap.metrics.size()
+                << " metric families to " << opt.prom_path << "\n";
+        else
             ok = false;
-        } else {
-            write_prometheus(snap, f);
-            f.flush();
-            if (!f) {
-                err << "metrics: failed writing " << opt.prom_path << "\n";
-                ok = false;
-            } else {
-                out << "metrics: wrote " << snap.metrics.size()
-                    << " metric families to " << opt.prom_path << "\n";
-            }
-        }
     }
     if (!opt.json_path.empty()) {
-        std::ofstream f(opt.json_path);
-        if (!f) {
-            err << "metrics: cannot open " << opt.json_path
-                << " for writing\n";
+        if (write_artifact(opt.json_path, "metrics", err, [&](std::ostream& f) {
+                write_json(snap, s.series(), f);
+            }))
+            out << "metrics: wrote snapshot to " << opt.json_path << "\n";
+        else
             ok = false;
-        } else {
-            write_json(snap, s.series(), f);
-            f.flush();
-            if (!f) {
-                err << "metrics: failed writing " << opt.json_path << "\n";
-                ok = false;
-            } else {
-                out << "metrics: wrote snapshot to " << opt.json_path << "\n";
-            }
-        }
     }
     if (opt.prom_path.empty() && opt.json_path.empty()) {
         // Bare --metrics: a compact console summary of what actually moved.

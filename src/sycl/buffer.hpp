@@ -18,8 +18,8 @@
 #include "analyze/shadow.hpp"
 #include "fault/inject.hpp"
 #include "mem/pool.hpp"
-#include "mem/transfer.hpp"
 #include "metrics/instruments.hpp"
+#include "sycl/thread_pool.hpp"
 
 namespace syclite {
 
@@ -152,12 +152,10 @@ public:
     }
 
     ~buffer() {
-        if (writeback_ != nullptr && count_ > 0) {
-            if constexpr (std::is_trivially_copyable_v<T>)
-                altis::mem::copy_bytes(writeback_, data_, count_ * sizeof(T));
-            else
-                std::copy(data_, data_ + count_, writeback_);
-        }
+        // Only the use_host_ptr constructor sets writeback_, and its
+        // copy_in already required a device-copyable T.
+        if (writeback_ != nullptr && count_ > 0)
+            thread_pool::global().copy(writeback_, data_, byte_size());
         if constexpr (!std::is_trivially_destructible_v<T>)
             std::destroy(data_, data_ + count_);
         // Reverse the live-bytes charge only against the session that made
@@ -202,15 +200,13 @@ private:
         meter_alloc();
     }
 
-    /// Copy-in fast path: trivially copyable elements move as raw bytes
-    /// through mem::copy_bytes, which fans large spans out across the
-    /// thread pool as chunked parallel memcpy jobs.
+    /// Copy-in moves raw bytes through thread_pool::copy, which fans large
+    /// spans out across the pool as chunked parallel memcpy jobs.
     void copy_in(const T* src) {
-        if (count_ == 0) return;
-        if constexpr (std::is_trivially_copyable_v<T>)
-            altis::mem::copy_bytes(data_, src, count_ * sizeof(T));
-        else
-            std::copy(src, src + count_, data_);
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "host data copied into a buffer must be device-copyable "
+                      "(trivially copyable, as SYCL 2020 requires)");
+        if (count_ > 0) thread_pool::global().copy(data_, src, byte_size());
     }
 
     void meter_alloc() {

@@ -239,8 +239,8 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
     graph::submission s;
     s.name = "transfer";
     s.transfer = true;
-    s.exec = [dst_ptr, src_ptr, bytes](thread_pool&) {
-        altis::mem::copy_bytes(dst_ptr, src_ptr, bytes);
+    s.exec = [dst_ptr, src_ptr, bytes](thread_pool& pool) {
+        pool.copy(dst_ptr, src_ptr, bytes);
     };
     // Both sides conflict: the source orders this copy after kernels writing
     // it (USM on the host side, the buffer on write-back), the destination

@@ -51,7 +51,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "mem/transfer.hpp"
 #include "perf/device.hpp"
 #include "perf/overhead.hpp"
 #include "sycl/error.hpp"
@@ -137,10 +136,11 @@ public:
 
     /// Modeled host->device / device->host copies; mirror the cudaMemcpy
     /// calls of the original Altis code. Functionally a memcpy (buffers are
-    /// host-backed); on the timeline a PCIe transfer. Large trivially
-    /// copyable spans take the mem::copy_bytes fast path -- chunked parallel
-    /// memcpy jobs on the thread pool. Wall-clock only: the simulated PCIe
-    /// charge from annotate_transfer is identical either way.
+    /// host-backed); on the timeline a PCIe transfer. T must be trivially
+    /// copyable (SYCL 2020 device-copyable). Large spans take
+    /// thread_pool::copy -- chunked parallel memcpy jobs on the pool.
+    /// Wall-clock only: the simulated PCIe charge from annotate_transfer is
+    /// identical either way.
     template <typename T>
     event copy_to_device(buffer<T>& dst, const T* src) {
         return transfer(/*to_device=*/true, dst.host_data(), src, dst.size());
@@ -196,26 +196,22 @@ private:
     /// The body of both copy directions; the device side is the buffer.
     template <typename T>
     event transfer(bool to_device, T* dst, const T* src, std::size_t n) {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "transferred elements must be device-copyable "
+                      "(trivially copyable, as SYCL 2020 requires)");
         const std::size_t bytes = n * sizeof(T);
-        if constexpr (std::is_trivially_copyable_v<T>) {
-            if (sched_ != nullptr) {
-                // Asynchronous on the graph: a node ordered after conflicting
-                // in-flight commands by the implied-edge machinery. Write-back
-                // is a targeted join: waiting on the copy node drains exactly
-                // the chain of producers of the buffer's range.
-                event e = submit_transfer_graph(to_device, dst, src, bytes);
-                if (!to_device) e.wait();
-                return e;
-            }
-        } else {
-            if (sched_ != nullptr) join_graph();
+        if (sched_ != nullptr) {
+            // Asynchronous on the graph: a node ordered after conflicting
+            // in-flight commands by the implied-edge machinery. Write-back
+            // is a targeted join: waiting on the copy node drains exactly
+            // the chain of producers of the buffer's range.
+            event e = submit_transfer_graph(to_device, dst, src, bytes);
+            if (!to_device) e.wait();
+            return e;
         }
         const event e = charge_transfer(static_cast<double>(bytes),
                                         to_device ? dst : src, to_device);
-        if constexpr (std::is_trivially_copyable_v<T>)
-            altis::mem::copy_bytes(dst, src, bytes);
-        else
-            std::copy(src, src + n, dst);
+        thread_pool::global().copy(dst, src, bytes);
         return e;
     }
 

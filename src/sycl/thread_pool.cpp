@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 
-#include "mem/transfer.hpp"
 #include "metrics/instruments.hpp"
 #include "resilience/cancel.hpp"
 
@@ -33,14 +33,10 @@ namespace {
     return std::thread::hardware_concurrency();
 }
 
-/// Bridge handed to altis::mem so large host<->device copies fan out as
-/// chunked memcpy jobs on the global pool. A plain function pointer keeps
-/// mem free of a link dependency on syclite.
-void pool_copy_runner(std::size_t n, void (*fn)(void*, std::size_t),
-                      void* ctx) {
-    thread_pool::global().parallel_for(n,
-                                       [&](std::size_t i) { fn(ctx, i); });
-}
+/// copy()'s chunk: big enough that per-chunk scheduling cost is noise
+/// against the memcpy, small enough that a 64 MiB copy still spreads across
+/// every worker.
+constexpr std::size_t kCopyChunkBytes = std::size_t{2} * 1024 * 1024;
 
 }  // namespace
 
@@ -53,16 +49,9 @@ thread_pool::thread_pool(unsigned threads) {
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
         workers_.emplace_back([this] { worker_loop(); });
-    // First pool up (usually the global one) wires the transfer fast path.
-    // Idempotent: re-installing the same bridge is harmless.
-    altis::mem::set_parallel_runner(&pool_copy_runner);
 }
 
 thread_pool::~thread_pool() {
-    // Disarm the transfer bridge before joining: a copy_bytes issued during
-    // static destruction must fall back to plain memcpy, never dispatch into
-    // a pool whose workers are gone. Costs only the fast path, never data.
-    altis::mem::set_parallel_runner(nullptr);
     {
         std::lock_guard lock(mutex_);
         stop_ = true;
@@ -120,10 +109,12 @@ void thread_pool::worker_loop() {
                 return stop_ || !tasks_.empty() ||
                        (j = pick_job()) != nullptr;
             });
+            // Leave before metering: the global pool can outlive the metrics
+            // registry at exit.
+            if (stop_) return;
             if (meter_idle)
                 altis::metrics::instruments::pool_worker_idle_ns().add(
                     now_ns() - idle_from);
-            if (stop_) return;
             if (!tasks_.empty()) {
                 // Tasks drain ahead of jobs: a posted graph dispatch usually
                 // *produces* the parallel_for work the jobs path then shares.
@@ -208,6 +199,27 @@ void thread_pool::parallel_for(std::size_t n,
     // submitting thread, after the job is retired and nobody references the
     // stack-allocated state anymore.
     altis::resilience::checkpoint();
+}
+
+void thread_pool::copy(void* dst, const void* src, std::size_t bytes) {
+    if (bytes == 0) return;
+    if (bytes < copy_threshold) {
+        std::memcpy(dst, src, bytes);
+        return;
+    }
+    auto* d = static_cast<char*>(dst);
+    const auto* s = static_cast<const char*>(src);
+    parallel_for((bytes + kCopyChunkBytes - 1) / kCopyChunkBytes,
+                 [&](std::size_t i) {
+                     const std::size_t off = i * kCopyChunkBytes;
+                     std::memcpy(d + off, s + off,
+                                 std::min(kCopyChunkBytes, bytes - off));
+                 });
+    if (altis::metrics::collecting()) {
+        namespace mi = altis::metrics::instruments;
+        mi::mem_parallel_copies().add();
+        mi::mem_parallel_copy_bytes().add(bytes);
+    }
 }
 
 thread_pool& thread_pool::global() {

@@ -1,4 +1,5 @@
-// Minimal work-sharing thread pool used to execute work-groups in parallel.
+// Minimal work-sharing thread pool used to execute work-groups, and the
+// chunks of large host copies, in parallel.
 //
 // Jobs are concurrent: each parallel_for publishes its own job onto a work
 // list and every pool worker self-schedules chunks from whichever published
@@ -40,6 +41,15 @@ public:
     /// fn is borrowed, not owned (it outlives the call by construction), so
     /// submission allocates nothing.
     void parallel_for(std::size_t n, detail::function_ref<void(std::size_t)> fn);
+
+    /// Copies below this many bytes (4 MiB) stay one memcpy.
+    static constexpr std::size_t copy_threshold = std::size_t{4} * 1024 * 1024;
+
+    /// memcpy behind buffer copy-in/write-back and queue transfers: from
+    /// copy_threshold up, 2 MiB chunks run as one parallel_for job. Ranges
+    /// must not overlap (cudaMemcpy semantics). Wall-clock only: the
+    /// simulated PCIe charge is the caller's.
+    void copy(void* dst, const void* src, std::size_t bytes);
 
     /// Fire-and-forget task for a worker thread (the graph scheduler posts
     /// ready-node dispatches this way). Tasks interleave with parallel_for

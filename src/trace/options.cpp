@@ -1,9 +1,9 @@
 #include "trace/options.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <ostream>
 
+#include "core/artifact.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/profile.hpp"
 
@@ -31,21 +31,13 @@ bool finish_session(session& s, const options& opt, double end_ns,
 
     bool ok = true;
     if (!opt.trace_path.empty()) {
-        std::ofstream f(opt.trace_path);
-        if (!f) {
-            err << "trace: cannot open " << opt.trace_path << " for writing\n";
+        if (write_artifact(opt.trace_path, "trace", err, [&](std::ostream& f) {
+                write_chrome_json(s, f, metrics);
+            }))
+            out << "trace: wrote " << s.spans().size() << " spans to "
+                << opt.trace_path << "\n";
+        else
             ok = false;
-        } else {
-            write_chrome_json(s, f, metrics);
-            f.flush();
-            if (!f) {
-                err << "trace: failed writing " << opt.trace_path << "\n";
-                ok = false;
-            } else {
-                out << "trace: wrote " << s.spans().size() << " spans to "
-                    << opt.trace_path << "\n";
-            }
-        }
     }
     if (opt.profile) {
         const profile_report p = build_profile(s);
@@ -53,20 +45,12 @@ bool finish_session(session& s, const options& opt, double end_ns,
         render_profile(p, out);
         if (!opt.trace_path.empty()) {
             const std::string path = opt.trace_path + ".profile.json";
-            std::ofstream f(path);
-            if (!f) {
-                err << "trace: cannot open " << path << " for writing\n";
+            if (write_artifact(path, "trace", err, [&](std::ostream& f) {
+                    write_profile_json(p, f);
+                }))
+                out << "trace: wrote profile to " << path << "\n";
+            else
                 ok = false;
-            } else {
-                write_profile_json(p, f);
-                f.flush();
-                if (!f) {
-                    err << "trace: failed writing " << path << "\n";
-                    ok = false;
-                } else {
-                    out << "trace: wrote profile to " << path << "\n";
-                }
-            }
         }
     }
     return ok;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "analyze/options.hpp"
 #include "support/mini_json.hpp"
 
 namespace altis::analyze {
@@ -129,6 +130,31 @@ TEST(Baseline, FullyMaskedReportDoesNotGate) {
     const report masked = apply_baseline(r, all);
     EXPECT_EQ(masked.count_at_least(severity::warning), 0u);
     EXPECT_EQ(masked.count_at_least(severity::note), 2u);
+}
+
+// A findings export that cannot be written fails the run with exit code 2,
+// whether the path cannot be opened or the device fills up mid-write.
+TEST(SanitizeOptions, FinishReportsUnwritableExports) {
+    const recorder rec;
+    const struct {
+        const char* path;
+        const char* message;
+    } cases[] = {
+        {"/dev/full", "sanitize: failed writing /dev/full"},
+        {"/nonexistent-dir/findings",
+         "sanitize: cannot open /nonexistent-dir/findings for writing"},
+    };
+    for (const auto& c : cases) {
+        for (const bool sarif : {false, true}) {
+            options o;
+            o.lv = level::warn;
+            (sarif ? o.sarif_path : o.json_path) = c.path;
+            std::ostringstream out, err;
+            EXPECT_EQ(finish(rec, o, out, err), 2) << c.path;
+            EXPECT_NE(err.str().find(c.message), std::string::npos)
+                << err.str();
+        }
+    }
 }
 
 }  // namespace

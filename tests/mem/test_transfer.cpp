@@ -1,46 +1,26 @@
-// copy_bytes contract: small copies stay one memcpy, large copies fan out
-// through the installed runner in 2 MiB chunks with exact byte coverage
-// (including ragged tails), and the fast path degrades to memcpy when no
-// runner is installed.
-#include "mem/transfer.hpp"
-
+// thread_pool::copy contract: small copies stay one memcpy, large copies run
+// as one parallel_for job of 2 MiB chunks with exact byte coverage
+// (including ragged tails), metered under a metrics session. Every test runs
+// on the global pool; pinned to one CPU (taskset -c 0) that pool has no
+// workers, so the same tests cover the caller-only path.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <cstring>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "metrics/instruments.hpp"
 #include "metrics/session.hpp"
+#include "sycl/thread_pool.hpp"
 
-namespace altis::mem {
+namespace syclite {
 namespace {
 
-std::atomic<std::size_t> g_runner_calls{0};
-std::atomic<std::size_t> g_runner_chunks{0};
+namespace mi = altis::metrics::instruments;
 
-/// Serial stand-in for the thread pool: runs every chunk inline, counting
-/// invocations so tests can observe which path copy_bytes took.
-void counting_runner(std::size_t n, void (*fn)(void*, std::size_t),
-                     void* ctx) {
-    g_runner_calls.fetch_add(1);
-    g_runner_chunks.fetch_add(n);
-    for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
-}
-
-/// Installs the counting runner for one test, restoring whatever was there.
-struct runner_guard {
-    parallel_runner prev = parallel_runner_installed();
-    runner_guard() {
-        g_runner_calls.store(0);
-        g_runner_chunks.store(0);
-        set_parallel_runner(&counting_runner);
-    }
-    ~runner_guard() { set_parallel_runner(prev); }
+/// Each test reads the pool and copy counters of its own metrics session.
+class Transfer : public ::testing::Test {
+protected:
+    altis::metrics::session session_{"transfer-test", {/*sample_hz=*/0.0}};
 };
 
 [[nodiscard]] std::vector<unsigned char> pattern(std::size_t n) {
@@ -50,128 +30,75 @@ struct runner_guard {
     return v;
 }
 
-TEST(Transfer, ThresholdDefaultsToFourMiB) {
-    EXPECT_EQ(parallel_copy_threshold(), std::size_t{4} * 1024 * 1024);
+TEST_F(Transfer, ThresholdDefaultsToFourMiB) {
+    EXPECT_EQ(thread_pool::copy_threshold, std::size_t{4} * 1024 * 1024);
 }
 
-TEST(Transfer, SmallCopyNeverDispatchesToTheRunner) {
-    runner_guard guard;
+TEST_F(Transfer, SmallCopyNeverDispatchesToTheRunner) {
     const auto src = pattern(64 * 1024);
     std::vector<unsigned char> dst(src.size());
-    copy_bytes(dst.data(), src.data(), src.size());
+    thread_pool::global().copy(dst.data(), src.data(), src.size());
     EXPECT_EQ(dst, src);
-    EXPECT_EQ(g_runner_calls.load(), 0u);
+    EXPECT_EQ(mi::pool_jobs().value(), 0u);
+    EXPECT_EQ(mi::mem_parallel_copies().value(), 0u);
 }
 
-TEST(Transfer, LargeCopyFansOutInChunksAndIsByteExact) {
-    runner_guard guard;
+TEST_F(Transfer, LargeCopyFansOutInChunksAndIsByteExact) {
+    thread_pool& pool = thread_pool::global();
     // 5 MiB + 7: above the threshold with a ragged tail chunk.
     const std::size_t bytes = (std::size_t{5} << 20) + 7;
     const auto src = pattern(bytes);
     std::vector<unsigned char> dst(bytes, 0);
-    copy_bytes(dst.data(), src.data(), bytes);
+    pool.copy(dst.data(), src.data(), bytes);
     EXPECT_EQ(dst, src);
-    EXPECT_EQ(g_runner_calls.load(), 1u);
-    // ceil((5 MiB + 7) / 2 MiB) = 3 chunks.
-    EXPECT_EQ(g_runner_chunks.load(), 3u);
+    EXPECT_EQ(mi::pool_jobs().value(), 1u);
+    // ceil((5 MiB + 7) / 2 MiB) = 3 chunks, claimed one at a time; a pool
+    // without workers runs the whole job as one serial chunk.
+    EXPECT_EQ(mi::pool_chunks().value(), pool.worker_count() == 0 ? 1u : 3u);
 }
 
-TEST(Transfer, ExactThresholdTakesTheParallelPath) {
-    runner_guard guard;
-    const std::size_t bytes = parallel_copy_threshold();
+TEST_F(Transfer, ExactThresholdTakesTheParallelPath) {
+    const std::size_t bytes = thread_pool::copy_threshold;
     const auto src = pattern(bytes);
     std::vector<unsigned char> dst(bytes, 0);
-    copy_bytes(dst.data(), src.data(), bytes);
+    thread_pool::global().copy(dst.data(), src.data(), bytes);
     EXPECT_EQ(dst, src);
-    EXPECT_EQ(g_runner_calls.load(), 1u);
+    EXPECT_EQ(mi::pool_jobs().value(), 1u);
     // One byte less stays serial.
-    copy_bytes(dst.data(), src.data(), bytes - 1);
-    EXPECT_EQ(g_runner_calls.load(), 1u);
+    thread_pool::global().copy(dst.data(), src.data(), bytes - 1);
+    EXPECT_EQ(mi::pool_jobs().value(), 1u);
 }
 
-TEST(Transfer, NoRunnerFallsBackToPlainMemcpy) {
-    const parallel_runner prev = parallel_runner_installed();
-    set_parallel_runner(nullptr);
-    const std::size_t bytes = std::size_t{6} << 20;
-    const auto src = pattern(bytes);
-    std::vector<unsigned char> dst(bytes, 0);
-    copy_bytes(dst.data(), src.data(), bytes);
-    EXPECT_EQ(dst, src);
-    set_parallel_runner(prev);
+TEST_F(Transfer, ZeroBytesIsANoOp) {
+    thread_pool::global().copy(nullptr, nullptr, 0);  // must not dereference
+    EXPECT_EQ(mi::pool_jobs().value(), 0u);
 }
 
-TEST(Transfer, ZeroBytesIsANoOp) {
-    runner_guard guard;
-    copy_bytes(nullptr, nullptr, 0);  // must not dereference anything
-    EXPECT_EQ(g_runner_calls.load(), 0u);
-}
-
-TEST(Transfer, ParallelCopiesAreMeteredUnderASession) {
-    runner_guard guard;
-    namespace mi = altis::metrics::instruments;
+TEST_F(Transfer, ParallelCopiesAreMeteredUnderASession) {
     const std::size_t bytes = std::size_t{4} << 20;
     const auto src = pattern(bytes);
     std::vector<unsigned char> dst(bytes, 0);
-    altis::metrics::session s("transfer-test", {/*sample_hz=*/0.0});
-    copy_bytes(dst.data(), src.data(), bytes);
+    thread_pool::global().copy(dst.data(), src.data(), bytes);
     EXPECT_EQ(mi::mem_parallel_copies().value(), 1u);
     EXPECT_EQ(mi::mem_parallel_copy_bytes().value(), bytes);
     // Below-threshold traffic is not counted as a parallel copy.
-    copy_bytes(dst.data(), src.data(), 1024);
+    thread_pool::global().copy(dst.data(), src.data(), 1024);
     EXPECT_EQ(mi::mem_parallel_copies().value(), 1u);
 }
 
-std::atomic<bool> g_slow_started{false};
-std::atomic<bool> g_slow_release{false};
-
-/// Runner that parks mid-copy until the test releases it, modeling an async
-/// graph transfer node still executing while another thread tears the pool
-/// down.
-void parking_runner(std::size_t n, void (*fn)(void*, std::size_t),
-                    void* ctx) {
-    g_slow_started.store(true, std::memory_order_release);
-    while (!g_slow_release.load(std::memory_order_acquire))
-        std::this_thread::yield();
-    for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
-}
-
-// Regression: set_parallel_runner used to return immediately, so a pool
-// being destroyed could yank the runner out from under a copy_bytes call
-// that an out-of-order queue's scheduler had dispatched asynchronously.
-// Disarming must drain in-flight copies first.
-TEST(Transfer, DisarmingTheRunnerDrainsInFlightCopies) {
-    const parallel_runner prev = parallel_runner_installed();
-    g_slow_started.store(false);
-    g_slow_release.store(false);
-    set_parallel_runner(&parking_runner);
-
-    const std::size_t bytes = std::size_t{4} << 20;
+// Regression: destroying any pool used to switch every later copy, the
+// global pool's included, to plain memcpy for the rest of the process.
+TEST_F(Transfer, LocalPoolTeardownKeepsTheGlobalCopyPath) {
+    thread_pool::global();
+    { thread_pool local(1); }
+    const std::size_t bytes = std::size_t{6} << 20;
     const auto src = pattern(bytes);
     std::vector<unsigned char> dst(bytes, 0);
-    std::atomic<bool> copied{false};
-    std::thread copier([&] {
-        copy_bytes(dst.data(), src.data(), bytes);
-        copied.store(true, std::memory_order_release);
-    });
-    while (!g_slow_started.load(std::memory_order_acquire))
-        std::this_thread::yield();
-
-    std::atomic<bool> disarmed{false};
-    std::thread disarmer([&] {
-        set_parallel_runner(prev);  // must block until the copy finishes
-        disarmed.store(true, std::memory_order_release);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(disarmed.load(std::memory_order_acquire))
-        << "set_parallel_runner returned with a copy still in flight";
-
-    g_slow_release.store(true, std::memory_order_release);
-    copier.join();
-    disarmer.join();
-    EXPECT_TRUE(copied.load(std::memory_order_acquire));
-    EXPECT_TRUE(disarmed.load(std::memory_order_acquire));
+    thread_pool::global().copy(dst.data(), src.data(), bytes);
     EXPECT_EQ(dst, src);
+    EXPECT_EQ(mi::mem_parallel_copies().value(), 1u);
+    EXPECT_EQ(mi::mem_parallel_copy_bytes().value(), bytes);
 }
 
 }  // namespace
-}  // namespace altis::mem
+}  // namespace syclite

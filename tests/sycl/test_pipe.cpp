@@ -205,6 +205,9 @@ TEST(Pipe, OccupancySnapshotStaysWithinCapacityUnderBursts) {
         while (!done.load(std::memory_order_relaxed)) {
             const std::size_t occ = p.occupancy();
             if (occ > kCapacity) violated.store(true);
+            // Pinned to one CPU, a spinning poller starves the producer and
+            // consumer it samples.
+            std::this_thread::yield();
         }
     });
 
