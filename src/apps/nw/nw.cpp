@@ -1,6 +1,7 @@
 #include "apps/nw/nw.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "apps/common/verify.hpp"
 #include "rng/xorwow.hpp"
@@ -30,25 +31,25 @@ workload make_workload(const params& p) {
 }
 
 std::vector<int> golden(const params& p, const workload& w) {
-    const std::size_t m = p.n + 1;
-    std::vector<int> score(m * m);
-    for (std::size_t i = 0; i < m; ++i)
-        score[i * m] = -static_cast<int>(i) * kPenalty;
-    for (std::size_t j = 0; j < m; ++j)
-        score[j] = -static_cast<int>(j) * kPenalty;
-    for (std::size_t i = 1; i < m; ++i)
-        for (std::size_t j = 1; j < m; ++j) {
-            const int diag =
-                score[(i - 1) * m + j - 1] + similarity(w.seq1[i - 1], w.seq2[j - 1]);
-            const int up = score[(i - 1) * m + j] - kPenalty;
-            const int left = score[i * m + j - 1] - kPenalty;
-            score[i * m + j] = std::max({diag, up, left});
+    // The row-major recurrence, written straight into the n x n interior:
+    // row i-1 of `out` is the row above, and the boundary -k*kPenalty is
+    // computed inline where a neighbour falls off the interior.
+    const std::size_t n = p.n;
+    std::vector<int> out(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        int* row = out.data() + i * n;
+        const int* above = i == 0 ? nullptr : row - n;
+        int diag = -static_cast<int>(i) * kPenalty;
+        int left = diag - kPenalty;
+        for (std::size_t j = 0; j < n; ++j) {
+            const int up = above != nullptr ? above[j]
+                                            : -static_cast<int>(j + 1) * kPenalty;
+            left = std::max({diag + similarity(w.seq1[i], w.seq2[j]),
+                             up - kPenalty, left - kPenalty});
+            row[j] = left;
+            diag = up;
         }
-    // Interior only.
-    std::vector<int> out(p.n * p.n);
-    for (std::size_t i = 0; i < p.n; ++i)
-        for (std::size_t j = 0; j < p.n; ++j)
-            out[i * p.n + j] = score[(i + 1) * m + j + 1];
+    }
     return out;
 }
 
@@ -126,13 +127,14 @@ AppResult run(const RunConfig& cfg) {
     if (dev.is_fpga()) q.set_design(region(cfg.variant, dev, cfg.size).all_kernels());
     // One-time context/JIT setup is excluded from the timed region (warmed up).
 
+    // One host staging matrix carries the DP boundary in and the scores out.
     const std::size_t m = p.n + 1;
-    std::vector<int> init(m * m, 0);
-    for (std::size_t i = 0; i < m; ++i) init[i * m] = -static_cast<int>(i) * kPenalty;
-    for (std::size_t j = 0; j < m; ++j) init[j] = -static_cast<int>(j) * kPenalty;
+    std::vector<int> host(m * m, 0);
+    for (std::size_t i = 0; i < m; ++i) host[i * m] = -static_cast<int>(i) * kPenalty;
+    for (std::size_t j = 0; j < m; ++j) host[j] = -static_cast<int>(j) * kPenalty;
 
-    sl::buffer<int> score(m * m);
-    q.copy_to_device(score, init.data());
+    sl::buffer<int> score(m * m, sl::no_init);  // the copy writes every element
+    q.copy_to_device(score, host.data());
     sl::buffer<std::int8_t> seq1(p.n), seq2(p.n);
     q.copy_to_device(seq1, w.seq1.data());
     q.copy_to_device(seq2, w.seq2.data());
@@ -149,15 +151,13 @@ AppResult run(const RunConfig& cfg) {
     }
     q.wait();
 
-    std::vector<int> result(m * m);
-    q.copy_from_device(score, result.data());
-    std::vector<int> interior(p.n * p.n);
+    q.copy_from_device(score, host.data());
+    const std::span<const int> want(expected), got(host);
+    std::size_t bad = 0;
     for (std::size_t i = 0; i < p.n; ++i)
-        for (std::size_t j = 0; j < p.n; ++j)
-            interior[i * p.n + j] = result[(i + 1) * m + j + 1];
-    require_close(
-        static_cast<double>(mismatch_count<int>(expected, interior)), 0.0,
-        "nw");
+        bad += mismatch_count(want.subspan(i * p.n, p.n),
+                              got.subspan((i + 1) * m + 1, p.n));
+    require_close(static_cast<double>(bad), 0.0, "nw");
 
     AppResult r;
     r.kernel_ms = q.kernel_ns() / 1e6;

@@ -38,8 +38,8 @@ struct workload {
     return a == b ? 5 : -3;
 }
 
-/// Host reference: full (n+1)x(n+1) DP table, returns the interior n x n
-/// scores row-major (the boundary row/column is implicit -i*penalty).
+/// Host reference: the interior n x n scores of the (n+1)x(n+1) DP table,
+/// row-major (the boundary row/column is implicit -i*penalty).
 [[nodiscard]] std::vector<int> golden(const params& p, const workload& w);
 
 AppResult run(const RunConfig& cfg);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/common/verify.hpp"
+#include "support/fnv1a.hpp"
+
 namespace altis::apps::nw {
 namespace {
 
@@ -27,6 +30,40 @@ TEST(Nw, GoldenMismatchPenalties) {
     const auto score = golden(p, w);
     // Best first cell: max(diag -3, gaps -20) = -3.
     EXPECT_EQ(score[0], -3);
+}
+
+// Where the oracle keeps its rows must not change its integer recurrence:
+// the output bytes must match. Digests pinned from the implementation that
+// filled the whole (n+1)^2 table.
+TEST(Nw, GoldenOutputIsBitIdenticalToFullTableReference) {
+    const std::uint64_t pinned[] = {0xee27b14a7cf1cb52ULL,
+                                    0x3b7608c2606f4a2eULL};
+    for (int size = 1; size <= 2; ++size) {
+        const params p = params::preset(size);
+        EXPECT_EQ(support::fnv1a<int>(golden(p, make_workload(p))),
+                  pinned[size - 1])
+            << "size " << size;
+    }
+}
+
+// run() compares the interior of the (n+1)^2 device matrix row by row
+// against the n x n reference. A reference wrong in its first or its last
+// cell must fail the run, so an off-by-one row or column offset cannot pass.
+TEST(Nw, RunRejectsAWrongReferenceCell) {
+    RunConfig cfg;
+    cfg.size = 1;
+    const params p = params::preset(cfg.size);
+    const std::vector<int> truth = golden(p, make_workload(p));
+    for (const std::size_t cell : {std::size_t{0}, p.n * p.n - 1}) {
+        reference_scope scope;
+        (void)reference_once([&] {  // fills slot 0, which run() then reads
+            std::vector<int> wrong = truth;
+            wrong[cell] ^= 1;
+            return wrong;
+        });
+        scope.next_pass();
+        EXPECT_THROW((void)run(cfg), verification_error) << "cell " << cell;
+    }
 }
 
 struct Case {

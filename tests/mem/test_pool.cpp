@@ -250,7 +250,7 @@ TEST(Pool, ConcurrentHammerConservesEveryByte) {
 
 #ifndef NDEBUG
 TEST(PoolDeathTest, DoubleFreeAssertsInDebug) {
-    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     void* p = allocate(128);
     deallocate(p);
     EXPECT_DEATH(deallocate(p), "double free");
@@ -258,7 +258,7 @@ TEST(PoolDeathTest, DoubleFreeAssertsInDebug) {
 }
 
 TEST(PoolDeathTest, ForeignPointerAssertsInDebug) {
-    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     alignas(64) static char fake[256] = {};
     EXPECT_DEATH(deallocate(fake + 64), "never +allocated|magic mismatch");
 }
