@@ -255,20 +255,17 @@ void record(store* s, const void* base, std::size_t off, std::size_t len,
     const auto b = reinterpret_cast<std::uint64_t>(base);
     const std::uint64_t lo = b + off;
     const std::uint64_t hi = lo + len;
+    // Extend any open run of this (base, actor, mode) that the access
+    // touches; a disjoint access opens a run of its own, so streams at two
+    // offsets of one buffer (a stencil's idx and idx - ny) each keep a run.
     for (run& r : tr.runs) {
         if (!r.open || r.base != base || r.write != write || r.actor != actor)
             continue;
-        if (lo >= r.lo && hi <= r.hi) return;  // already covered
-        if (lo <= r.hi && hi >= r.lo) {        // overlaps or extends
+        if (lo <= r.hi && hi >= r.lo) {  // overlaps, extends or is covered
             r.lo = std::min(r.lo, lo);
             r.hi = std::max(r.hi, hi);
             return;
         }
-        // Disjoint from the existing run: close it, restart in place.
-        close_run(tr, r);
-        r.lo = lo;
-        r.hi = hi;
-        return;
     }
     for (run& r : tr.runs) {
         if (r.open) continue;

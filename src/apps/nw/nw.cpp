@@ -120,8 +120,6 @@ AppResult run(const RunConfig& cfg) {
     const perf::device_spec& dev = resolve_device(cfg);
     const params p = params::preset(cfg.size);
     const workload w = make_workload(p);
-    const auto oracle = reference_once([&] { return golden(p, w); });
-    const std::vector<int>& expected = *oracle;
 
     sl::queue q(dev, runtime_for(cfg.variant));
     if (dev.is_fpga()) q.set_design(region(cfg.variant, dev, cfg.size).all_kernels());
@@ -133,26 +131,32 @@ AppResult run(const RunConfig& cfg) {
     for (std::size_t i = 0; i < m; ++i) host[i * m] = -static_cast<int>(i) * kPenalty;
     for (std::size_t j = 0; j < m; ++j) host[j] = -static_cast<int>(j) * kPenalty;
 
-    sl::buffer<int> score(m * m, sl::no_init);  // the copy writes every element
-    q.copy_to_device(score, host.data());
-    sl::buffer<std::int8_t> seq1(p.n), seq2(p.n);
-    q.copy_to_device(seq1, w.seq1.data());
-    q.copy_to_device(seq2, w.seq2.data());
+    {
+        // The device buffers end here, before the reference is built, so a
+        // pass holds two matrices: staging + device, then staging + reference.
+        sl::buffer<int> score(m * m, sl::no_init);  // the copy writes every element
+        q.copy_to_device(score, host.data());
+        sl::buffer<std::int8_t> seq1(p.n), seq2(p.n);
+        q.copy_to_device(seq1, w.seq1.data());
+        q.copy_to_device(seq2, w.seq2.data());
 
-    const std::size_t nb = p.blocks();
-    // Two-pass diagonal sweep, as in the original Altis kernels 1 and 2.
-    for (std::size_t d = 0; d < 2 * nb - 1; ++d) {
-        const std::size_t first = d < nb ? 0 : d - nb + 1;
-        const std::size_t last = std::min(d, nb - 1);
-        const std::size_t count = last - first + 1;
-        submit_diagonal(q, p, score, seq1, seq2, d, first, count,
-                        detail::stats_diag(p, cfg.variant, dev,
-                                           static_cast<double>(count)));
+        const std::size_t nb = p.blocks();
+        // Two-pass diagonal sweep, as in the original Altis kernels 1 and 2.
+        for (std::size_t d = 0; d < 2 * nb - 1; ++d) {
+            const std::size_t first = d < nb ? 0 : d - nb + 1;
+            const std::size_t last = std::min(d, nb - 1);
+            const std::size_t count = last - first + 1;
+            submit_diagonal(q, p, score, seq1, seq2, d, first, count,
+                            detail::stats_diag(p, cfg.variant, dev,
+                                               static_cast<double>(count)));
+        }
+        q.wait();
+
+        q.copy_from_device(score, host.data());
     }
-    q.wait();
 
-    q.copy_from_device(score, host.data());
-    const std::span<const int> want(expected), got(host);
+    const auto oracle = reference_once([&] { return golden(p, w); });
+    const std::span<const int> want(*oracle), got(host);
     std::size_t bad = 0;
     for (std::size_t i = 0; i < p.n; ++i)
         bad += mismatch_count(want.subspan(i * p.n, p.n),

@@ -118,8 +118,6 @@ void add_standard_options(OptionParser& parser) {
                       "target device: xeon_6128, rtx_2080, a100, max_1100, "
                       "stratix_10, agilex");
     parser.add_option("passes", "3", "number of measured trials");
-    parser.add_flag("verbose", "print per-trial details");
-    parser.add_flag("quiet", "suppress the summary table");
 }
 
 }  // namespace altis

@@ -55,7 +55,7 @@ private:
 };
 
 /// Registers the options every Altis binary shares (--size, --device,
-/// --passes, --verbose, --quiet).
+/// --passes).
 void add_standard_options(OptionParser& parser);
 
 }  // namespace altis

@@ -29,7 +29,6 @@ struct RunConfig {
     std::string device = "xeon_6128";  ///< device name in perf::device_catalog
     Variant variant = Variant::sycl_opt;
     int passes = 1;
-    bool verbose = false;
 };
 
 /// One registered application. `run` executes the configured variant, checks

@@ -676,5 +676,38 @@ TEST(Races, PooledSweepStoresOneIntervalPerAccessorAndMode) {
     EXPECT_TRUE(r.empty()) << render(r);
 }
 
+TEST(Races, InterleavedStreamsIntoOneBufferStoreTwoIntervals) {
+    // A stencil's two reads of one buffer, a[i] and a[i + gap], interleave:
+    // each stream keeps its own run, and both reach the store exactly.
+    constexpr std::size_t n = 256;
+    constexpr std::size_t gap = 512;
+    recorder rec;
+    {
+        recorder::scope scope(rec);
+        syclite::queue q("xeon_6128");
+        syclite::buffer<int> in(gap + n);
+        q.submit([&](syclite::handler& h) {
+            auto a = h.get_access(in, syclite::access_mode::read);
+            h.single_task(named("two_streams"), [a] {
+                for (std::size_t i = 0; i < n; ++i) {
+                    (void)a[i];
+                    (void)a[i + gap];
+                }
+            });
+        });
+        q.wait();
+    }
+    rec.shadow().finalize();
+    const std::vector<shadow::interval> ivs = rec.shadow().merged_intervals();
+    ASSERT_EQ(ivs.size(), 2u);
+    EXPECT_EQ(ivs[0].hi - ivs[0].lo, n * sizeof(int));
+    EXPECT_EQ(ivs[1].hi - ivs[1].lo, n * sizeof(int));
+    EXPECT_EQ(ivs[1].lo - ivs[0].lo, gap * sizeof(int));
+    for (const shadow::interval& iv : ivs) {
+        EXPECT_FALSE(iv.write);
+        EXPECT_EQ(rec.shadow().actor_name(iv.actor), "two_streams");
+    }
+}
+
 }  // namespace
 }  // namespace altis::analyze

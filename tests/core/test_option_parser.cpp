@@ -16,23 +16,25 @@ std::vector<const char*> argv_of(std::initializer_list<const char*> args) {
 TEST(OptionParser, DefaultsApplyWhenUnset) {
     OptionParser p;
     add_standard_options(p);
+    p.add_flag("json", "emit JSON");
     std::ostringstream os;
     auto args = argv_of({});
     ASSERT_TRUE(p.parse(static_cast<int>(args.size()), args.data(), os));
     EXPECT_EQ(p.get_int("size"), 1);
     EXPECT_EQ(p.get_string("device"), "xeon_6128");
-    EXPECT_FALSE(p.get_flag("verbose"));
+    EXPECT_FALSE(p.get_flag("json"));
 }
 
 TEST(OptionParser, ParsesSeparateAndInlineValues) {
     OptionParser p;
     add_standard_options(p);
+    p.add_flag("json", "emit JSON");
     std::ostringstream os;
-    auto args = argv_of({"--size", "3", "--device=stratix_10", "--verbose"});
+    auto args = argv_of({"--size", "3", "--device=stratix_10", "--json"});
     ASSERT_TRUE(p.parse(static_cast<int>(args.size()), args.data(), os));
     EXPECT_EQ(p.get_int("size"), 3);
     EXPECT_EQ(p.get_string("device"), "stratix_10");
-    EXPECT_TRUE(p.get_flag("verbose"));
+    EXPECT_TRUE(p.get_flag("json"));
 }
 
 TEST(OptionParser, UnknownOptionThrows) {
@@ -90,9 +92,9 @@ TEST(OptionParser, DuplicateRegistrationThrows) {
 
 TEST(OptionParser, FlagWithInlineValueThrows) {
     OptionParser p;
-    p.add_flag("verbose", "x");
+    p.add_flag("json", "x");
     std::ostringstream os;
-    auto args = argv_of({"--verbose=1"});
+    auto args = argv_of({"--json=1"});
     EXPECT_THROW(p.parse(static_cast<int>(args.size()), args.data(), os),
                  OptionError);
 }
