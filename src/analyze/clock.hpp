@@ -23,11 +23,6 @@ public:
         return actor < c_.size() ? c_[actor] : 0;
     }
 
-    void set(std::size_t actor, std::uint64_t value) {
-        grow(actor);
-        c_[actor] = value;
-    }
-
     /// Advances `actor`'s own component (one local step).
     void tick(std::size_t actor) {
         grow(actor);
@@ -40,15 +35,6 @@ public:
         if (o.c_.size() > c_.size()) c_.resize(o.c_.size(), 0);
         for (std::size_t i = 0; i < o.c_.size(); ++i)
             c_[i] = std::max(c_[i], o.c_[i]);
-    }
-
-    /// True when every component of *this is <= the matching one in `o`
-    /// (the classical partial order; the race passes use the cheaper
-    /// single-component get() query instead).
-    [[nodiscard]] bool leq(const vector_clock& o) const {
-        for (std::size_t i = 0; i < c_.size(); ++i)
-            if (c_[i] > o.get(i)) return false;
-        return true;
     }
 
     [[nodiscard]] std::size_t size() const { return c_.size(); }

@@ -7,7 +7,6 @@
 
 #include "mem/size_class.hpp"
 #include "metrics/instruments.hpp"
-#include "metrics/registry.hpp"
 
 namespace altis::mem {
 
@@ -105,11 +104,11 @@ struct magazine {
 class central {
 public:
     central() {
-        // Re-seed the level gauges after every registry reset: the pool's
+        // Re-seed the level gauges after every metrics reset: the pool's
         // caches survive across metrics sessions, so a session must start
         // from the true resident level or draining a pre-session cache
         // would drive the gauge negative.
-        altis::metrics::registry::instance().add_reset_hook([this] {
+        altis::metrics::add_reset_hook([this] {
             namespace mi = altis::metrics::instruments;
             mi::mem_magazine_blocks().add(
                 magazine_blocks_.load(std::memory_order_relaxed));

@@ -4,7 +4,7 @@
 // allocation already pays ::operator new, so a lock on this cold path is
 // invisible; the kernel hot paths never touch the ledger.
 //
-// registry::reset_all() clears the ledger at session start, so a session can
+// metrics::reset_all() clears the ledger at session start, so a session can
 // never subtract bytes some earlier session accounted for.
 #pragma once
 

@@ -10,7 +10,7 @@ namespace {
 
 /// Prometheus HELP text escaping: backslash and newline only (quotes are
 /// legal in help text).
-std::string escape_help(const std::string& v) {
+std::string escape_help(std::string_view v) {
     std::string out;
     out.reserve(v.size());
     for (char c : v) {
@@ -22,28 +22,6 @@ std::string escape_help(const std::string& v) {
             out += c;
     }
     return out;
-}
-
-void write_label_set(std::ostream& out, const label_set& labels) {
-    if (labels.empty()) return;
-    out << '{';
-    bool first = true;
-    for (const auto& [k, v] : labels) {
-        if (!first) out << ',';
-        first = false;
-        out << k << "=\"" << escape_label_value(v) << '"';
-    }
-    out << '}';
-}
-
-/// Labels plus one extra (the histogram `le`), reusing the same escaping.
-void write_label_set_with(std::ostream& out, const label_set& labels,
-                          const std::string& extra_key,
-                          const std::string& extra_value) {
-    out << '{';
-    for (const auto& [k, v] : labels)
-        out << k << "=\"" << escape_label_value(v) << "\",";
-    out << extra_key << "=\"" << escape_label_value(extra_value) << "\"}";
 }
 
 /// Highest non-empty bucket index, so expositions stay compact: a latency
@@ -56,22 +34,6 @@ int last_used_bucket(const histogram::snapshot& h) {
 }
 
 }  // namespace
-
-std::string escape_label_value(const std::string& v) {
-    std::string out;
-    out.reserve(v.size());
-    for (char c : v) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '"')
-            out += "\\\"";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out += c;
-    }
-    return out;
-}
 
 void write_prometheus(const snapshot& snap, std::ostream& out) {
     for (const metric_value& m : snap.metrics) {
@@ -91,24 +53,15 @@ void write_prometheus(const snapshot& snap, std::ostream& out) {
             const int last = last_used_bucket(h);
             for (int b = 0; b <= last; ++b) {
                 cumulative += h.buckets[static_cast<std::size_t>(b)];
-                out << info.name << "_bucket";
-                write_label_set_with(out, info.labels, "le",
-                                     std::to_string(histogram::bucket_bound(b)));
-                out << ' ' << cumulative << '\n';
+                out << info.name << "_bucket{le=\""
+                    << histogram::bucket_bound(b) << "\"} " << cumulative
+                    << '\n';
             }
-            out << info.name << "_bucket";
-            write_label_set_with(out, info.labels, "le", "+Inf");
-            out << ' ' << h.count << '\n';
-            out << info.name << "_sum";
-            write_label_set(out, info.labels);
-            out << ' ' << h.sum << '\n';
-            out << info.name << "_count";
-            write_label_set(out, info.labels);
-            out << ' ' << h.count << '\n';
+            out << info.name << "_bucket{le=\"+Inf\"} " << h.count << '\n';
+            out << info.name << "_sum " << h.sum << '\n';
+            out << info.name << "_count " << h.count << '\n';
         } else {
-            out << info.name;
-            write_label_set(out, info.labels);
-            out << ' ' << m.value << '\n';
+            out << info.name << ' ' << m.value << '\n';
         }
     }
 }
@@ -125,16 +78,6 @@ void write_json(const snapshot& snap,
         first = false;
         out << "    {\"name\": " << json::quoted{m.info.name}
             << ", \"type\": " << json::quoted{to_string(m.info.kind)};
-        if (!m.info.labels.empty()) {
-            out << ", \"labels\": {";
-            bool lf = true;
-            for (const auto& [k, v] : m.info.labels) {
-                if (!lf) out << ", ";
-                lf = false;
-                out << json::quoted{k} << ": " << json::quoted{v};
-            }
-            out << '}';
-        }
         if (m.info.kind == instrument_kind::histogram) {
             out << ", \"count\": " << m.hist.count
                 << ", \"sum\": " << m.hist.sum << ", \"buckets\": [";

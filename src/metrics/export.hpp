@@ -2,8 +2,7 @@
 //
 //   * Prometheus text exposition (write_prometheus): one # HELP/# TYPE block
 //     per metric family, log-bucketed histograms as cumulative _bucket
-//     series with `le` labels, label values escaped per the exposition
-//     format spec (backslash, double-quote, newline).
+//     series with `le` labels (the only label: no instrument carries any).
 //   * Structured JSON (write_json): the snapshot plus the sampler's time
 //     series, following the suite's hand-rolled-emitter conventions
 //     (ResultDatabase, chrome_export) so tests/support/mini_json.hpp can
@@ -32,9 +31,5 @@ void write_json(const snapshot& snap,
 /// already written (a comma is emitted before each event), updated in place.
 void write_chrome_counter_events(const std::vector<sampled_series>& series,
                                  std::ostream& out, bool& first);
-
-/// Escapes a Prometheus label value: `\` -> `\\`, `"` -> `\"`, newline ->
-/// `\n` (exposed for the escaping tests).
-[[nodiscard]] std::string escape_label_value(const std::string& v);
 
 }  // namespace altis::metrics

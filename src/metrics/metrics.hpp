@@ -26,7 +26,7 @@ namespace detail {
 /// Instrument updates are skipped entirely while false.
 inline std::atomic<bool> g_enabled{false};
 
-/// Session generation, bumped by registry::reset_all() at session start.
+/// Session generation, bumped by reset_all() (instruments.hpp) at session start.
 /// Long-lived objects (buffers) remember the epoch that metered their
 /// allocation and only reverse it against the same epoch, so an object that
 /// straddles two sessions cannot drive the second session's gauges negative.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "metrics/alloc_ledger.hpp"
-#include "metrics/instruments.hpp"
 
 namespace altis::metrics {
 
@@ -36,9 +35,12 @@ session::session(std::string name, config cfg)
         throw std::logic_error(
             "metrics::session: a session is already active");
     (void)stream::install(stream::slot::metrics, this);
-    // Each session reports its own interval; instruments registered by
-    // earlier runs keep their identity but restart from zero.
-    registry::instance().reset_all();
+    // Each session reports its own interval: every instrument restarts
+    // from zero.
+    reset_all();
+    for (const instrument_info& info : catalog())
+        if (info.gge != nullptr || info.wmk != nullptr)
+            series_.push_back({info, {}});
     start_ = std::chrono::steady_clock::now();
     detail::g_enabled.store(true, std::memory_order_relaxed);
     if (cfg_.sample_hz > 0.0)
@@ -130,34 +132,17 @@ void session::sampler_loop() {
 
 void session::take_sample() {
     const double t = now_ns();
-    for (const instrument_info& info : registry::instance().instruments()) {
-        double v = 0.0;
-        if (info.kind == instrument_kind::gauge)
-            v = static_cast<double>(info.gge->value());
-        else if (info.kind == instrument_kind::watermark)
-            v = static_cast<double>(info.wmk->value());
-        else
-            continue;  // counters/histograms are exported as totals
-        sampled_series* dst = nullptr;
-        for (sampled_series& s : series_)
-            if (s.info.ctr == info.ctr && s.info.gge == info.gge &&
-                s.info.wmk == info.wmk && s.info.hst == info.hst) {
-                dst = &s;
-                break;
-            }
-        if (dst == nullptr) {
-            series_.push_back({info, {}});
-            dst = &series_.back();
-        }
-        dst->samples.emplace_back(t, v);
-    }
+    for (sampled_series& s : series_)
+        s.samples.emplace_back(
+            t, s.info.gge != nullptr ? static_cast<double>(s.info.gge->value())
+                                     : static_cast<double>(s.info.wmk->value()));
 }
 
 snapshot session::take_snapshot() const {
     snapshot out;
     out.session_name = name_;
     out.duration_ns = stopped_ ? stopped_duration_ns_ : now_ns();
-    for (const instrument_info& info : registry::instance().instruments()) {
+    for (const instrument_info& info : catalog()) {
         metric_value mv;
         mv.info = info;
         switch (info.kind) {

@@ -1,9 +1,10 @@
 // Metrics session: the RAII scope that turns collection on, mirroring
 // trace::session / analyze::recorder / fault::scope. While a session is
 // alive, metrics::collecting() is true and every instrumentation site in the
-// runtime feeds the process-wide registry; the session also owns the
-// background sampler thread that snapshots gauges and watermarks into time
-// series (Perfetto counter tracks, JSON "series" section).
+// runtime feeds the fixed instrument catalog (instruments.hpp); the session
+// also owns the background sampler thread that snapshots every gauge and
+// watermark into time series (Perfetto counter tracks, JSON "series"
+// section).
 //
 // A session is also the command-stream subscriber (core/command_stream.hpp)
 // that keeps the queue-level counters: waits, dataflow groups, async errors,
@@ -25,7 +26,7 @@
 #include <vector>
 
 #include "core/command_stream.hpp"
-#include "metrics/registry.hpp"
+#include "metrics/instruments.hpp"
 
 namespace altis::metrics {
 
@@ -72,11 +73,11 @@ public:
     /// Idempotent.
     void stop();
 
-    /// Aggregates every registered instrument. Callable while running (the
+    /// Aggregates every catalog instrument. Callable while running (the
     /// totals are monotone) or after stop().
     [[nodiscard]] snapshot take_snapshot() const;
 
-    /// Sampled gauge/watermark series; stable only after stop().
+    /// One series per catalog gauge and watermark; stable only after stop().
     [[nodiscard]] const std::vector<sampled_series>& series() const {
         return series_;
     }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "analyze/sanitize.hpp"
@@ -77,7 +79,8 @@ queue::queue(const std::string& device_name, perf::runtime_kind rt,
     : queue(perf::device_by_name(device_name), rt, std::move(handler), prop) {}
 
 queue::~queue() {
-    // Abandoning a dataflow group would leak blocked threads; join them.
+    // An open dataflow group never launched (its workers live and die inside
+    // end_dataflow()); retire its deferred command groups.
     abort_dataflow();
     if (sched_ != nullptr) {
         // Implicit join; destructors cannot deliver, so errors are dropped
@@ -382,33 +385,13 @@ void queue::begin_dataflow() {
 }
 
 void queue::abort_dataflow() noexcept {
-    for (auto& t : pending_threads_)
-        if (t.joinable()) t.join();
-    pending_threads_.clear();
     // Deferred kernels that never started: drop them, ending the lifetime of
     // any accessor their command groups handed out.
     for (const pending_work& w : pending_work_)
         if (recorder_ != nullptr && w.cg != 0) recorder_->retire(w.cg);
     pending_work_.clear();
     pending_stats_.clear();
-    dataflow_failures_.clear();
     in_dataflow_ = false;
-}
-
-void queue::launch_dataflow_workers() {
-    pending_threads_.reserve(pending_work_.size());
-    for (pending_work& w : pending_work_) {
-        pending_threads_.emplace_back([this, w = std::move(w)]() mutable {
-            std::optional<detail::command_failure> f = detail::run_command(
-                w.kernel, /*transfer=*/false, w.exec, thread_pool::global(),
-                w.actor, recorder_, w.cg, w.fault);
-            if (!f) return;
-            f->index = w.index;
-            std::lock_guard lock(dataflow_failures_mutex_);
-            dataflow_failures_.push_back(std::move(*f));
-        });
-    }
-    pending_work_.clear();
 }
 
 void queue::deliver(exception_list errors) {
@@ -439,16 +422,32 @@ std::vector<event> queue::end_dataflow() {
         }
     }
 
-    launch_dataflow_workers();
-    for (auto& t : pending_threads_) t.join();
-    pending_threads_.clear();
-    if (!dataflow_failures_.empty()) {
+    // The workers live only in this scope: the jthreads join on every exit
+    // path (a failed thread start included) before `failed` and its mutex
+    // go away. The work list leaves the queue first, so abort_dataflow()
+    // can never retire a command group that already launched.
+    std::vector<detail::command_failure> failed;
+    {
+        std::mutex failed_mutex;
+        std::vector<pending_work> work = std::move(pending_work_);
+        pending_work_.clear();
+        std::vector<std::jthread> workers;
+        workers.reserve(work.size());
+        for (pending_work& w : work)
+            workers.emplace_back([&, w = std::move(w)]() mutable {
+                std::optional<detail::command_failure> f = detail::run_command(
+                    w.kernel, /*transfer=*/false, w.exec,
+                    thread_pool::global(), w.actor, recorder_, w.cg, w.fault);
+                if (!f) return;
+                f->index = w.index;
+                std::lock_guard lock(failed_mutex);
+                failed.push_back(std::move(*f));
+            });
+    }
+    if (!failed.empty()) {
         // The join above is a real synchronization point: the group_end
         // closes its happens-before edges (members -> queue -> host).
         emit({.what = kind::group_end});
-        std::vector<detail::command_failure> failed =
-            std::move(dataflow_failures_);
-        dataflow_failures_.clear();
         pending_stats_.clear();
         merge_failures(failed, "dataflow cancelled");
         exception_list list;

@@ -47,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -97,9 +96,6 @@ public:
     void set_async_handler(async_handler handler) {
         handler_ = std::move(handler);
     }
-    [[nodiscard]] bool has_async_handler() const {
-        return static_cast<bool>(handler_);
-    }
 
     template <typename CGF>
     event submit(CGF&& cgf) {
@@ -129,8 +125,8 @@ public:
     /// dataflow_error naming every blocked kernel; with an async_handler the
     /// full list arrives in submission order and the queue stays usable.
     std::vector<event> end_dataflow();
-    /// Abandons an open dataflow group: joins any worker threads and
-    /// discards their pending stats and errors. Safe to call when no group
+    /// Abandons an open dataflow group: retires the kernels that never
+    /// launched and discards their pending stats. Safe to call when no group
     /// is open. Used by dataflow_guard on exception escape.
     void abort_dataflow() noexcept;
 
@@ -266,7 +262,6 @@ private:
     /// A failed operation at the current simulated time.
     void record_error(const std::string& label);
     void deliver(exception_list errors);
-    void launch_dataflow_workers();
 
     const perf::device_spec& dev_;
     perf::runtime_kind rt_;
@@ -283,9 +278,6 @@ private:
     bool in_dataflow_ = false;
     std::vector<perf::kernel_stats> pending_stats_;
     std::vector<pending_work> pending_work_;
-    std::vector<std::thread> pending_threads_;
-    std::vector<detail::command_failure> dataflow_failures_;
-    std::mutex dataflow_failures_mutex_;
 
     /// Observers snapshotted at construction and this queue's timeline id
     /// on the stream (-1: unobserved).

@@ -109,8 +109,8 @@ void thread_pool::worker_loop() {
                 return stop_ || !tasks_.empty() ||
                        (j = pick_job()) != nullptr;
             });
-            // Leave before metering: the global pool can outlive the metrics
-            // registry at exit.
+            // Leave before metering: a stopping pool has no idle stretch
+            // left to report.
             if (stop_) return;
             if (meter_idle)
                 altis::metrics::instruments::pool_worker_idle_ns().add(

@@ -1,13 +1,15 @@
 // Session lifecycle: the collection switch, single-active-session rule,
-// registry reset at start, sampler series, env-tunable sample rate, and the
+// catalog reset at start, sampler series, env-tunable sample rate, and the
 // end-to-end path from an instrumented syclite workload into a snapshot.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "metrics/export.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/session.hpp"
 #include "sycl/syclite.hpp"
@@ -60,16 +62,48 @@ TEST(Session, SecondConcurrentSessionThrows) {
 }
 
 TEST(Session, StartResetsRegisteredInstruments) {
-    counter& scratch = registry::instance().get_counter(
-        "test_session_scratch_total", "scratch counter for reset test");
-    scratch.add(5);
+    counter& waits = instruments::queue_waits();
+    waits.add(5);
     const std::uint64_t epoch_before = collection_epoch();
 
     session s("reset", no_sampler());
-    EXPECT_EQ(scratch.value(), 0u);
-    EXPECT_EQ(metric_or_zero(s.take_snapshot(), "test_session_scratch_total"),
+    EXPECT_EQ(waits.value(), 0u);
+    EXPECT_EQ(metric_or_zero(s.take_snapshot(), "syclite_queue_waits_total"),
               0);
     EXPECT_GT(collection_epoch(), epoch_before);
+}
+
+// The catalog is exported whole: a session in which nothing ran still lists
+// every instrument, at 0, so a scrape can tell "none" from "not
+// instrumented". The two altis::mem level gauges are re-seeded at session
+// start from pool caches that outlive it, so they only need to be present.
+TEST(Session, FreshSessionExportsTheWholeCatalogAtZero) {
+    session s("fresh", no_sampler());
+    s.stop();
+    const snapshot snap = s.take_snapshot();
+    std::ostringstream prom;
+    write_prometheus(snap, prom);
+    const std::string text = prom.str();
+
+    ASSERT_EQ(snap.metrics.size(), catalog().size());
+    for (const instrument_info& info : catalog()) {
+        const std::string& name = info.name;
+        const bool reseeded = name == "altis_mem_magazine_blocks" ||
+                              name == "altis_mem_reuse_cache_bytes";
+        const metric_value* m = find_metric(snap, name.c_str());
+        ASSERT_NE(m, nullptr) << name;
+        EXPECT_TRUE(reseeded || m->value == 0) << name;
+        EXPECT_NE(text.find("# TYPE " + name + ' '), std::string::npos)
+            << name;
+        const std::string sample = info.kind == instrument_kind::histogram
+                                       ? name + "_count "
+                                       : name + ' ';
+        const std::size_t at = text.find('\n' + sample);
+        ASSERT_NE(at, std::string::npos) << name;
+        EXPECT_TRUE(reseeded ||
+                    text.compare(at + 1 + sample.size(), 2, "0\n") == 0)
+            << name;
+    }
 }
 
 TEST(Session, InstrumentedWorkloadLandsInSnapshot) {
@@ -161,11 +195,6 @@ TEST(Session, PipeOccupancyWatermarkNeverExceedsCapacity) {
 }
 
 TEST(Session, SamplerProducesMonotoneSeries) {
-    // Force at least one gauge/watermark registration before the sampler
-    // starts so it has something to sample.
-    instruments::usm_live_bytes();
-    instruments::usm_peak_bytes();
-
     session::config cfg;
     cfg.sample_hz = 2000.0;
     session s("sampler", cfg);
@@ -186,7 +215,6 @@ TEST(Session, SamplerProducesMonotoneSeries) {
 }
 
 TEST(Session, SamplerDisabledStillTakesFinalSample) {
-    instruments::usm_live_bytes();
     session s("nosampler", no_sampler());
     s.stop();
     // stop() takes one closing sample even with the thread disabled, so the

@@ -78,10 +78,10 @@ TEST(ThreadPool, GlobalPoolSingleton) {
     EXPECT_EQ(&thread_pool::global(), &thread_pool::global());
 }
 
-// Exit order: here the global pool is built before the metrics registry, so
-// the registry is destroyed first at exit. Workers woken by ~thread_pool
-// must leave without metering their last idle stretch into it; when they
-// did, about one child in three aborted at exit.
+// Exit order: workers woken by ~thread_pool at exit, after a metered job,
+// must leave without touching anything static destruction already ended.
+// The instrument catalog is constant-initialized and never destroyed, so
+// even a late idle-time update is safe.
 TEST(ThreadPool, ExitAfterAMeteredJobIsClean) {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     for (int run = 0; run < 10; ++run)
