@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "perf/model.hpp"
 #include "support/fnv1a.hpp"
@@ -68,6 +69,29 @@ TEST(Cfd, GoldenOutputIsBitIdenticalToSerialReference) {
     golden(p, m, v64);
     EXPECT_EQ(support::fnv1a<float>(v32), 0xf169a4b36e87fec6ULL);
     EXPECT_EQ(support::fnv1a<double>(v64), 0x0bb3f1599e742b2aULL);
+}
+
+// Meshes that reach the oracle's edge cases: 13 x 7 = 91 elements leaves a
+// tail that is not a whole group of 4 floats or 2 doubles, and a one-column
+// mesh gives every element two free-stream faces. Digests pinned from the
+// per-element serial implementation.
+TEST(Cfd, LaneTailsAndBoundariesAreBitIdentical) {
+    struct pin {
+        params p;
+        std::uint64_t fp32, fp64;
+    };
+    const pin pins[] = {
+        {{13, 7, 4}, 0x679e625abacdee2bULL, 0x9138e4c335843614ULL},
+        {{1, 9, 4}, 0xa890b281a751bde9ULL, 0xca789247e5b85f4fULL}};
+    for (const pin& c : pins) {
+        const mesh m = make_mesh(c.p);
+        auto v32 = initial_variables<float>(c.p);
+        auto v64 = initial_variables<double>(c.p);
+        golden(c.p, m, v32);
+        golden(c.p, m, v64);
+        EXPECT_EQ(support::fnv1a<float>(v32), c.fp32) << c.p.nx << "x" << c.p.ny;
+        EXPECT_EQ(support::fnv1a<double>(v64), c.fp64) << c.p.nx << "x" << c.p.ny;
+    }
 }
 
 struct Case {
