@@ -99,19 +99,23 @@ void BM_Dwt2dRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_Dwt2dRoundTrip)->Arg(256)->Arg(512);
 
+// One RK3 iteration of cfd's oracle: 4 FP32 or 2 FP64 elements per lane.
+template <typename Real>
 void BM_CfdIteration(benchmark::State& state) {
     apps::cfd::params p;
     p.nx = p.ny = static_cast<std::size_t>(state.range(0));
     p.iterations = 1;
     const auto mesh = apps::cfd::make_mesh(p);
-    auto vars = apps::cfd::initial_variables<float>(p);
+    auto vars = apps::cfd::initial_variables<Real>(p);
     for (auto _ : state) {
         apps::cfd::golden(p, mesh, vars);
         benchmark::DoNotOptimize(vars.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * static_cast<long>(p.nel()));
 }
-BENCHMARK(BM_CfdIteration)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_TEMPLATE(BM_CfdIteration, float)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_TEMPLATE(BM_CfdIteration, double)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_WhereGolden(benchmark::State& state) {
     apps::where::params p;

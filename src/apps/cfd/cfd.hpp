@@ -42,9 +42,10 @@ struct mesh {
 template <typename Real>
 [[nodiscard]] std::vector<Real> initial_variables(const params& p);
 
-/// Host reference: `iterations` RK3 steps; updates variables in place. The
-/// per-element loops run on the global thread pool; the result is
-/// bit-identical to a serial sweep.
+/// Host reference: `iterations` RK3 steps; updates variables in place. It
+/// runs 4 FP32 or 2 FP64 elements per SSE2 register, in blocks of elements on
+/// the global thread pool; the result is bit-identical to a serial sweep of
+/// the kernels' per-element formula.
 template <typename Real>
 void golden(const params& p, const mesh& m, std::vector<Real>& variables);
 

@@ -360,11 +360,10 @@ ConfigOutcome run_config(const SuiteEntry& e, Variant v,
         trace::session* s = trace::session::current();
         if (s == nullptr) return;
         const double cursor = s->last_end_ns();
-        trace::span sp{trace::span_kind::overhead,
-                       "retry " + std::to_string(attempt) + ": " + label +
-                           " (backoff " + std::to_string(backoff_ms) +
-                           " ms): " + error,
-                       cursor, cursor};
+        trace::span sp;
+        sp.name = "retry " + std::to_string(attempt) + ": " + label +
+                  " (backoff " + std::to_string(backoff_ms) + " ms): " + error;
+        sp.start_ns = sp.end_ns = cursor;
         sp.status = trace::span_status::retried;
         s->record(std::move(sp));
     };
@@ -427,10 +426,10 @@ void emit_degraded_span(const std::string& label, const fault::outcome& oc) {
             return;
     }
     const double cursor = s->last_end_ns();
-    trace::span sp{trace::span_kind::overhead,
-                   std::string(oc.label()) + ": " + label +
-                       (oc.error.empty() ? "" : ": " + oc.error),
-                   cursor, cursor};
+    trace::span sp;
+    sp.name = std::string(oc.label()) + ": " + label +
+              (oc.error.empty() ? "" : ": " + oc.error);
+    sp.start_ns = sp.end_ns = cursor;
     sp.status = st;
     s->record(std::move(sp));
 }
