@@ -110,6 +110,10 @@ TEST_P(CfdVariants, FunctionalRunVerifies) {
     const AppResult r =
         GetParam().fp64 ? run_fp64(cfg) : run_fp32(cfg);
     EXPECT_GT(r.kernel_ms, 0.0);
+    // The kernels and the oracle share one flux formula and run its scalar
+    // operations in the same order, so the device output is the oracle's
+    // bit for bit, not merely within require_close's tolerance.
+    EXPECT_EQ(r.error, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
