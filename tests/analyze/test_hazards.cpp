@@ -149,7 +149,9 @@ TEST(Hazards, H3AccessorOutlivesItsCommandGroup) {
     const report r = run_all(rec);
     EXPECT_TRUE(has_rule(r, "ALS-H3"));
     for (const finding& f : r.findings()) {
-        if (f.rule == "ALS-H3") EXPECT_EQ(f.kernel, "escapee");
+        if (f.rule == "ALS-H3") {
+            EXPECT_EQ(f.kernel, "escapee");
+        }
     }
 }
 
@@ -190,8 +192,9 @@ TEST(Hazards, H4UseAfterFreeOfUsm) {
     const report r = run_all(rec);
     ASSERT_TRUE(has_rule(r, "ALS-H4"));
     for (const finding& f : r.findings()) {
-        if (f.rule == "ALS-H4")
+        if (f.rule == "ALS-H4") {
             EXPECT_NE(f.message.find("already freed"), std::string::npos);
+        }
     }
 }
 

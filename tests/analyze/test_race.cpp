@@ -153,7 +153,9 @@ TEST(Races, R1FiresOnOverlappingSpansBeyondElementZero) {
     const report r = unpiped_span_writers(4, 8);
     ASSERT_TRUE(has_rule(r, "ALS-R1")) << render(r);
     for (const finding& f : r.findings()) {
-        if (f.rule == "ALS-R1") EXPECT_EQ(f.kernel, "span_a, span_b");
+        if (f.rule == "ALS-R1") {
+            EXPECT_EQ(f.kernel, "span_a, span_b");
+        }
     }
 }
 
@@ -351,7 +353,9 @@ TEST(Races, D1FiresOnAnAccessOutsideEveryDeclaredRange) {
     const report r = run_all(rec);
     ASSERT_TRUE(has_rule(r, "ALS-D1")) << render(r);
     for (const finding& f : r.findings()) {
-        if (f.rule == "ALS-D1") EXPECT_EQ(f.kernel, "drifter");
+        if (f.rule == "ALS-D1") {
+            EXPECT_EQ(f.kernel, "drifter");
+        }
     }
 }
 
@@ -372,7 +376,9 @@ TEST(Races, D1FiresOnAViewBeyondTheAccessorRange) {
     const report r = run_all(rec);
     ASSERT_TRUE(has_rule(r, "ALS-D1")) << render(r);
     for (const finding& f : r.findings()) {
-        if (f.rule == "ALS-D1") EXPECT_EQ(f.kernel, "overreader");
+        if (f.rule == "ALS-D1") {
+            EXPECT_EQ(f.kernel, "overreader");
+        }
     }
 }
 

@@ -101,7 +101,9 @@ TEST(Baseline, KnownFindingsAreDemotedToNotes) {
         }
         // ...and its identity is unchanged (severity is not hashed), so the
         // same baseline entry keeps matching on the next run.
-        if (f.rule == "ALS-R1") EXPECT_EQ(fingerprint(f), fingerprint(race));
+        if (f.rule == "ALS-R1") {
+            EXPECT_EQ(fingerprint(f), fingerprint(race));
+        }
     }
     EXPECT_EQ(notes, 1u);
     // The ALS-L1 warning is still live: only listed findings are demoted.

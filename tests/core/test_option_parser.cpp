@@ -61,7 +61,7 @@ TEST(OptionParser, NonNumericIntThrows) {
     std::ostringstream os;
     auto args = argv_of({"--size", "big"});
     ASSERT_TRUE(p.parse(static_cast<int>(args.size()), args.data(), os));
-    EXPECT_THROW(p.get_int("size"), OptionError);
+    EXPECT_THROW((void)p.get_int("size"), OptionError);
 }
 
 TEST(OptionParser, HelpShortCircuitsAndPrintsUsage) {

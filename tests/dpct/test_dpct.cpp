@@ -23,8 +23,11 @@ cuda_source_manifest tiny() {
 
 TEST(Dpct, TimerPairsEmitTwoWarningsEach) {
     const auto r = migrate(tiny());
-    for (const auto& d : r.diagnostics)
-        if (d.id == diagnostic_id::DPCT1012) EXPECT_EQ(d.count, 6);
+    for (const auto& d : r.diagnostics) {
+        if (d.id == diagnostic_id::DPCT1012) {
+            EXPECT_EQ(d.count, 6);
+        }
+    }
 }
 
 TEST(Dpct, OnlyUnprovableBarriersAreAnnotated) {

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -13,13 +12,6 @@ namespace {
 
 std::string tmp_path(const std::string& name) {
     return ::testing::TempDir() + "altis_journal_" + name;
-}
-
-std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
 }
 
 journal_entry sample_entry() {

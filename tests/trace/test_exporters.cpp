@@ -189,9 +189,12 @@ TEST(Profile, DataflowOverlapIsReportedNotDoubleCounted) {
     // Lane spans overlap, so their sum exceeds the wall-clock counter.
     EXPECT_GT(p.kernel_span_ns, p.kernel_ns);
     for (const auto& k : p.kernels) {
-        if (k.name == "producer" || k.name == "consumer")
+        if (k.name == "producer" || k.name == "consumer") {
             EXPECT_TRUE(k.in_dataflow);
-        if (k.name == "seq_kernel") EXPECT_FALSE(k.in_dataflow);
+        }
+        if (k.name == "seq_kernel") {
+            EXPECT_FALSE(k.in_dataflow);
+        }
     }
 }
 
