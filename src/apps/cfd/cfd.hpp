@@ -14,6 +14,12 @@
 #include "apps/common/app.hpp"
 #include "apps/common/region.hpp"
 
+namespace syclite {
+class queue;
+template <typename T>
+class buffer;
+}  // namespace syclite
+
 namespace altis::apps::cfd {
 
 inline constexpr int kNeighbors = 4;
@@ -48,6 +54,15 @@ template <typename Real>
 /// the kernels' per-element formula.
 template <typename Real>
 void golden(const params& p, const mesh& m, std::vector<Real>& variables);
+
+/// Submits p.iterations RK3 iterations of the device kernels to q and waits:
+/// per iteration, copy of the old variables and step factors, then flux and
+/// time step per RK stage, with `variant`'s descriptors on q's device.
+/// `vars` (SoA by variable) is advanced in place; each work-group runs its
+/// elements through golden's lane loop, so the result is golden's bit for bit.
+template <typename Real>
+void run_iterations(syclite::queue& q, const params& p, const mesh& m,
+                    Variant variant, syclite::buffer<Real>& vars);
 
 AppResult run_fp32(const RunConfig& cfg);
 AppResult run_fp64(const RunConfig& cfg);
